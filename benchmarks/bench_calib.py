@@ -16,11 +16,13 @@ clobber the checked-in baseline):
 ``tuner_batch_eval``
     Times the layout tuner's candidate-evaluation stage -- batched
     (``lite_route_batch`` + ``MoECostModel.evaluate_batch``) against the
-    per-candidate scalar loop -- on the shape the batched path is built
-    for (a small cluster with a large candidate set, where Python loop
-    overhead rather than the argsort kernel dominates).  The batched
-    results must be *bit-identical* to the scalar loop's and at least
-    ``TUNER_BATCH_FLOOR`` times faster.
+    per-candidate loop of ``lite_route`` + ``evaluate`` calls -- on the
+    shape the batched path is built for (a small cluster with a large
+    candidate set, where Python loop overhead rather than the argsort
+    kernel dominates).  The batched results must be *bit-identical* to
+    the ``repro.scalar_reference`` oracles (``scalar_lite_route`` +
+    ``scalar_evaluate``) and at least ``TUNER_BATCH_FLOOR`` times faster
+    than the per-candidate loop.
 
 Usage::
 
@@ -57,6 +59,7 @@ from repro.core.cost_model import MoECostModel
 from repro.core.layout_tuner import ExpertLayoutTuner, TunerConfig
 from repro.core.lite_routing import lite_route, lite_route_batch
 from repro.core.relocation import relocate_experts
+from repro.scalar_reference import scalar_evaluate, scalar_lite_route
 from repro.workloads.model_configs import get_model_config
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_calib.json"
@@ -165,15 +168,19 @@ def bench_tuner_batch_eval(quick: bool, seed: int) -> dict:
         plans = lite_route_batch(routing, layouts, topology)
         return [cost.total for cost in cost_model.evaluate_batch(plans)]
 
-    # Bit-identity first: the batched path must not be a fast approximation.
-    scalar_plans = [lite_route(routing, layout, topology)
+    # Bit-identity first, against the scalar oracles (``lite_route`` and
+    # ``evaluate`` are batches of one of the same kernels, so comparing with
+    # them would compare the kernel with itself): the batched path must not
+    # be a fast approximation.
+    scalar_plans = [scalar_lite_route(routing, layout, topology)
                     for layout in layouts]
     batched_plans = lite_route_batch(routing, layouts, topology)
     assert all(np.array_equal(scalar_plans[i], batched_plans[i])
                for i in range(len(layouts))), \
-        "batched lite routing diverged from the scalar loop"
-    assert scalar_eval() == batched_eval(), \
-        "batched cost evaluation diverged from the scalar loop"
+        "batched lite routing diverged from the scalar reference"
+    assert [scalar_evaluate(cost_model, plan).total
+            for plan in scalar_plans] == batched_eval(), \
+        "batched cost evaluation diverged from the scalar reference"
 
     repeats = 20 if quick else 100
     scalar_s = best_of(scalar_eval, repeats)

@@ -29,15 +29,10 @@ class LAERPolicy(LoadBalancingPolicy):
     def __init__(self, topology: ClusterTopology, num_experts: int,
                  capacity: int, expert_param_bytes: float,
                  cost_model: MoECostModel,
-                 tuner_config: Optional[TunerConfig] = None,
-                 history_length: int = 8, ema_decay: float = 1.0):
+                 tuner_config: Optional[TunerConfig] = None):
         super().__init__(topology, num_experts, capacity, expert_param_bytes)
-        planner_config = PlannerConfig(
-            capacity=capacity,
-            history_length=history_length,
-            ema_decay=ema_decay,
-            tuner=tuner_config or TunerConfig(),
-        )
+        planner_config = PlannerConfig(capacity=capacity,
+                                       tuner=tuner_config or TunerConfig())
         self.planner = LoadBalancingPlanner(topology, cost_model, num_experts,
                                             planner_config)
 
@@ -47,12 +42,10 @@ class LAERPolicy(LoadBalancingPolicy):
 
     # ------------------------------------------------------------------
     def decide_layer(self, layer: int, routing: np.ndarray) -> PolicyDecision:
-        routing = np.asarray(routing, dtype=np.int64)
-        layout = self.planner.current_layout(layer)
-        plan = self.planner.dispatch(routing, layout)
-        # Feed the observation to the asynchronous tuner for the next iteration.
-        self.planner.observe(layer, routing)
-        self.planner.tune_layout(layer)
+        # The planner step dispatches on the current layout and feeds the
+        # observation to the asynchronous tuner for the next iteration; the
+        # simulator prices the plan itself, so no cost-model step here.
+        layout, plan = self.planner.step(layer, routing)
         return PolicyDecision(
             layout=layout,
             routing_plan=plan,

@@ -40,7 +40,7 @@ from repro.core.comm_analysis import (
     fsep_extra_memory_bytes,
 )
 from repro.core.cost_model import MoECostModel, CostBreakdown
-from repro.core.lite_routing import lite_route, lite_route_single_rank
+from repro.core.lite_routing import lite_route, lite_route_batch
 from repro.core.replica_allocation import allocate_replicas_priority_queue, even_replicas
 from repro.core.relocation import relocate_experts
 from repro.core.layout_tuner import ExpertLayoutTuner, TunerConfig, TunerResult
@@ -70,7 +70,7 @@ __all__ = [
     "MoECostModel",
     "CostBreakdown",
     "lite_route",
-    "lite_route_single_rank",
+    "lite_route_batch",
     "allocate_replicas_priority_queue",
     "even_replicas",
     "relocate_experts",

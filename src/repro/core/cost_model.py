@@ -12,9 +12,11 @@ backward) and ``T_comp = (3 + F_ckpt) * max_i V_comp * tokens_i / B_comp``
 takes the slowest device's expert computation, counting backward as twice the
 forward cost and one extra forward when activation checkpointing is enabled.
 
-The same class also validates the constraints (3)-(4): every device restores at
-most ``C`` distinct experts and every routed token reaches a device that hosts
-its expert.
+Both terms come out of one kernel, :meth:`MoECostModel.evaluate_batch`, which
+scores ``M`` candidate plans at once; :meth:`MoECostModel.evaluate` is a batch
+of one.  The same class also validates the constraints (3)-(4): every device
+restores at most ``C`` distinct experts and every routed token reaches a device
+that hosts its expert.
 """
 
 from __future__ import annotations
@@ -110,52 +112,25 @@ class MoECostModel:
         )
 
     # ------------------------------------------------------------------
-    # Cost terms
+    # Cost evaluation
     # ------------------------------------------------------------------
-    def comm_time(self, routing_plan: np.ndarray) -> float:
-        """``T_comm`` for a routing plan ``S`` of shape ``(N, E, N)``."""
-        plan = self._check_plan(routing_plan)
-        # Tokens sent from i to k, over all experts.
-        pairwise = plan.sum(axis=1)
-        seconds = float(np.sum(pairwise * self._inv_bw))
-        return self.num_all_to_all * self.comm_bytes_per_token * seconds
-
-    def tokens_per_device(self, routing_plan: np.ndarray) -> np.ndarray:
-        """Token-expert assignments computed on each destination device."""
-        plan = self._check_plan(routing_plan)
-        return plan.sum(axis=(0, 1))
-
-    def comp_time(self, routing_plan: np.ndarray) -> float:
-        """``T_comp`` -- slowest device's forward+backward expert compute."""
-        tokens = self.tokens_per_device(routing_plan)
-        forward_factor = 3.0 + (1.0 if self.activation_checkpointing else 0.0)
-        forward_time = tokens.max() * self.compute_flops_per_token / self.device_flops
-        return float(forward_factor * forward_time)
-
     def evaluate(self, routing_plan: np.ndarray) -> CostBreakdown:
-        """Evaluate the full objective ``T = T_comm + T_comp`` for a plan."""
-        comm = self.comm_time(routing_plan)
-        tokens = self.tokens_per_device(routing_plan)
-        forward_factor = 3.0 + (1.0 if self.activation_checkpointing else 0.0)
-        comp = float(forward_factor * tokens.max()
-                     * self.compute_flops_per_token / self.device_flops)
-        return CostBreakdown(
-            total=comm + comp,
-            comm_time=comm,
-            comp_time=comp,
-            tokens_per_device=tokens,
-            max_tokens=int(tokens.max()),
-        )
+        """Evaluate the full objective ``T = T_comm + T_comp`` for one plan.
+
+        A batch of one through :meth:`evaluate_batch`, the single kernel.
+        """
+        return self.evaluate_batch(self._check_plan(routing_plan)[None])[0]
 
     def evaluate_batch(self, routing_plans: np.ndarray) -> list:
         """Evaluate ``M`` candidate plans at once (shape ``(M, N, E, N)``).
 
-        Bit-identical to calling :meth:`evaluate` on each plan: the heavy
-        elementwise work (summing the plans down to pairwise traffic and
-        per-device token counts) is vectorized across candidates, while the
-        order-sensitive float reductions -- ``sum(pairwise * 1/bw)`` and the
-        final scalar arithmetic -- run per candidate on contiguous slices,
-        so they see exactly the operand order of the scalar path.
+        The heavy elementwise work (summing the plans down to pairwise
+        traffic and per-device token counts) is vectorized across
+        candidates, while the order-sensitive float reductions --
+        ``sum(pairwise * 1/bw)`` and the final scalar arithmetic -- run per
+        candidate on contiguous slices.  Each result is therefore
+        bit-identical to the single-plan arithmetic kept as the oracle
+        ``repro.scalar_reference.scalar_evaluate``.
 
         Returns:
             ``[CostBreakdown, ...]`` in candidate order.

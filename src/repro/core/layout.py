@@ -169,6 +169,20 @@ def static_ep_layout(num_devices: int, num_experts: int,
     return ExpertLayout(assignment, capacity)
 
 
+def round_robin_layout(num_devices: int, num_experts: int,
+                       capacity: int) -> ExpertLayout:
+    """Fill every device's ``capacity`` slots with experts in round-robin order.
+
+    Slot ``s`` of device ``d`` restores expert ``(d * C + s) mod E``, so any
+    shape works, including those :func:`static_ep_layout` rejects.
+    """
+    experts = (np.arange(num_devices * capacity).reshape(num_devices, capacity)
+               % num_experts)
+    assignment = np.zeros((num_devices, num_experts), dtype=np.int64)
+    np.add.at(assignment, (np.arange(num_devices)[:, None], experts), 1)
+    return ExpertLayout(assignment, capacity)
+
+
 def replicate_all_layout(num_devices: int, num_experts: int) -> ExpertLayout:
     """Every device restores every expert (capacity ``E``).
 

@@ -44,9 +44,10 @@ class TunerConfig:
         perturbation_seed: Seed of the random perturbations (candidates beyond
             the two analytic schemes).
         max_perturbation_moves: Maximum replicas moved by one perturbation.
-        batch_eval: Score all candidates through one batched
-            lite-route + cost evaluation (bit-identical to the per-candidate
-            loop; disable to force the scalar reference path).
+        batch_eval: Route the candidates with one ``lite_route_batch`` call
+            rather than one ``lite_route`` call each.  It stays only because
+            ``perfbench``'s scalar-reference check sets it; removing it
+            needs a benchmark change.
     """
 
     num_candidates: int = 2
@@ -121,7 +122,7 @@ class ExpertLayoutTuner:
             base = schemes[int(self._rng.integers(len(schemes)))]
             schemes.append(perturb_replicas(
                 base, self._rng, self.config.max_perturbation_moves))
-        return schemes[:max(self.config.num_candidates, len(schemes))]
+        return schemes
 
     # ------------------------------------------------------------------
     def solve(self, routing: np.ndarray) -> TunerResult:
@@ -147,36 +148,21 @@ class ExpertLayoutTuner:
                    for replicas in self.candidate_replica_schemes(
                        expert_loads, num_experts)]
 
-        best_layout: Optional[ExpertLayout] = None
-        best_plan: Optional[np.ndarray] = None
-        best_cost: Optional[CostBreakdown] = None
-        candidate_costs: List[float] = []
-
-        if self.config.batch_eval and len(layouts) > 1:
-            # Hot path: one batched lite-route + cost evaluation over the
-            # whole candidate set (bit-identical to the scalar loop below;
-            # guarded by tests and benchmarks/bench_calib.py).
-            with _span("planner.batch-eval", candidates=len(layouts)):
+        # Route every candidate, score all plans in one batch and keep the
+        # cheapest; argmin breaks ties towards the earlier candidate.
+        with _span("planner.batch-eval", candidates=len(layouts)):
+            if self.config.batch_eval:
                 plans = lite_route_batch(routing, layouts, self.topology)
-                costs = self.cost_model.evaluate_batch(plans)
-            for index, (layout, cost) in enumerate(zip(layouts, costs)):
-                candidate_costs.append(cost.total)
-                if best_cost is None or cost.total < best_cost.total:
-                    best_layout, best_cost = layout, cost
-                    best_plan = plans[index]
-        else:
-            for layout in layouts:
-                plan = lite_route(routing, layout, self.topology)
-                cost = self.cost_model.evaluate(plan)
-                candidate_costs.append(cost.total)
-                if best_cost is None or cost.total < best_cost.total:
-                    best_layout, best_plan, best_cost = layout, plan, cost
-
-        assert best_layout is not None and best_plan is not None and best_cost is not None
+            else:
+                plans = np.stack([lite_route(routing, layout, self.topology)
+                                  for layout in layouts])
+            costs = self.cost_model.evaluate_batch(plans)
+        candidate_costs = [cost.total for cost in costs]
+        best = int(np.argmin(candidate_costs))
         return TunerResult(
-            layout=best_layout,
-            routing_plan=best_plan,
-            cost=best_cost,
+            layout=layouts[best],
+            routing_plan=plans[best],
+            cost=costs[best],
             candidates_evaluated=len(candidate_costs),
             candidate_costs=candidate_costs,
         )

@@ -10,6 +10,12 @@ to.  The algorithm is topology-aware and requires no global coordination:
 
 The result is the routing plan ``S[i, j, k]`` consumed by the cost model, the
 All-to-All dispatcher and the iteration simulator.
+
+:func:`lite_route_batch` is the one kernel: it routes one routing matrix under
+``M`` layouts at once, which is how the layout tuner scores its candidates.
+:func:`lite_route` -- the dispatcher's call for the layout actually in use --
+is a batch of one.  The per-rank, per-expert loop it replaced lives on as the
+oracle ``repro.scalar_reference.scalar_lite_route``.
 """
 
 from __future__ import annotations
@@ -74,104 +80,22 @@ def _split_evenly(total: int, weights: np.ndarray) -> np.ndarray:
     return _split_evenly_batched(np.asarray([total]), weights)[0]
 
 
-def lite_route_single_rank(routing_row: np.ndarray, layout: ExpertLayout,
-                           topology: ClusterTopology, rank: int) -> np.ndarray:
-    """Algorithm 3 for one sender: route ``R[rank, :]`` under layout ``A``.
-
-    Args:
-        routing_row: ``(E,)`` token counts of the sender for each expert.
-        layout: Expert layout ``A``.
-        topology: Cluster topology (for the node mapping).
-        rank: Global rank of the sending device.
-
-    Returns:
-        ``(E, N)`` plan: tokens of each expert sent to each destination device.
-    """
-    routing_row = np.asarray(routing_row, dtype=np.int64)
-    num_experts = layout.num_experts
-    if routing_row.shape != (num_experts,):
-        raise ValueError(f"routing_row must have shape ({num_experts},)")
-    if np.any(routing_row < 0):
-        raise ValueError("token counts must be non-negative")
-    weights = _node_target_weights(layout, topology, topology.node(rank))
-    _check_replicas(routing_row[None, :], weights)
-    return _split_evenly_batched(routing_row, weights)
-
-
-def _node_target_weights(layout: ExpertLayout, topology: ClusterTopology,
-                         node: int) -> np.ndarray:
-    """Per-expert ``(E, N)`` split weights for senders hosted on ``node``.
-
-    Every expert's row is the node-local replica counts when the node hosts
-    at least one replica (keeping traffic on NVLink), otherwise the global
-    replica counts -- the vectorized form of Algorithm 3's target selection,
-    shared by every sender on the node.
-    """
-    replica = layout.assignment.T.astype(np.float64)  # (E, N)
-    node_devices = np.asarray(topology.devices_on_node(node))
-    intra = np.zeros_like(replica)
-    intra[:, node_devices] = replica[:, node_devices]
-    has_intra = intra.sum(axis=1) > 0
-    return np.where(has_intra[:, None], intra, replica)
-
-
-def _check_replicas(routing: np.ndarray, weights: np.ndarray) -> None:
-    """Raise for the first expert that has tokens but no replica anywhere."""
-    missing = (routing.sum(axis=0) > 0) & (weights.sum(axis=1) <= 0)
-    if np.any(missing):
-        expert = int(np.argmax(missing))
-        raise ValueError(f"expert {expert} has no replica in the layout")
-
-
 def lite_route(routing: np.ndarray, layout: ExpertLayout,
                topology: ClusterTopology) -> np.ndarray:
-    """Run lite routing for every sender, producing the full plan ``S``.
-
-    Args:
-        routing: ``(N, E)`` routing matrix ``R``.
-        layout: Expert layout ``A``.
-        topology: Cluster topology.
-
-    Returns:
-        ``(N, E, N)`` integer plan ``S`` satisfying
-        ``S.sum(axis=2) == routing`` and placing tokens only on devices that
-        restore the corresponding expert.
-    """
-    routing = np.asarray(routing, dtype=np.int64)
-    n = layout.num_devices
-    if routing.shape != (n, layout.num_experts):
-        raise ValueError(
-            f"routing must have shape ({n}, {layout.num_experts}), "
-            f"got {routing.shape}")
-    if topology.num_devices != n:
-        raise ValueError("topology size does not match the layout")
-    if np.any(routing < 0):
-        raise ValueError("token counts must be non-negative")
-    num_experts = layout.num_experts
-    plan = np.zeros((n, num_experts, n), dtype=np.int64)
-    # All senders on a node share the same per-expert target weights, so the
-    # whole node's (ranks x experts) splits batch into one call.
-    for node in range(topology.num_nodes):
-        ranks = topology.devices_on_node(node)
-        weights = _node_target_weights(layout, topology, node)
-        _check_replicas(routing[ranks], weights)
-        totals = routing[ranks].reshape(-1)                  # (R*E,)
-        tiled = np.tile(weights, (len(ranks), 1))            # (R*E, N)
-        plan[ranks] = _split_evenly_batched(totals, tiled).reshape(
-            len(ranks), num_experts, n)
-    return plan
+    """Route ``(N, E)`` routing ``R`` under one layout: the ``(N, E, N)``
+    plan ``S``, with ``S.sum(axis=2) == R`` and tokens only on devices that
+    restore their expert.  A batch of one of :func:`lite_route_batch`."""
+    return lite_route_batch(routing, [layout], topology)[0]
 
 
 def lite_route_batch(routing: np.ndarray, layouts: "list[ExpertLayout]",
                      topology: ClusterTopology) -> np.ndarray:
-    """Run :func:`lite_route` for ``M`` candidate layouts in one batch.
+    """Run lite routing under ``M`` layouts of one cluster in one batch.
 
     The layout tuner scores every candidate layout on the *same* routing
     matrix; since :func:`_split_evenly_batched` is purely row-wise, the
     ``(candidate, sender, expert)`` rows of all candidates stack into a
-    single call and the result is bit-identical to ``M`` separate
-    :func:`lite_route` invocations -- this is the tuner's vectorized hot
-    path (wrapped in the ``planner.batch-eval`` telemetry span).
+    single call, and ``plans[m]`` does not depend on the other candidates.
 
     Args:
         routing: ``(N, E)`` routing matrix ``R`` shared by all candidates.
@@ -179,8 +103,8 @@ def lite_route_batch(routing: np.ndarray, layouts: "list[ExpertLayout]",
         topology: Cluster topology.
 
     Returns:
-        ``(M, N, E, N)`` integer plans; ``plans[m]`` equals
-        ``lite_route(routing, layouts[m], topology)`` exactly.
+        ``(M, N, E, N)`` integer plans, ``plans[m]`` routing ``R`` under
+        ``layouts[m]``.
     """
     routing = np.asarray(routing, dtype=np.int64)
     if not layouts:
@@ -204,9 +128,9 @@ def lite_route_batch(routing: np.ndarray, layouts: "list[ExpertLayout]",
     plans = np.zeros((m, n, num_experts, n), dtype=np.int64)
     for node in range(topology.num_nodes):
         ranks = topology.devices_on_node(node)
-        # Per-candidate node target weights: intra-node replicas when the
-        # node hosts any, global replicas otherwise (same selection as
-        # _node_target_weights, vectorized over candidates).
+        # Per-candidate node target weights, shared by every sender on the
+        # node: intra-node replicas when the node hosts any (keeping traffic
+        # on NVLink), global replicas otherwise.
         intra = np.zeros_like(replica)
         intra[:, :, ranks] = replica[:, :, ranks]
         has_intra = intra.sum(axis=2) > 0                        # (M, E)
@@ -224,37 +148,3 @@ def lite_route_batch(routing: np.ndarray, layouts: "list[ExpertLayout]",
         plans[:, ranks] = _split_evenly_batched(totals, tiled).reshape(
             m, num_ranks, num_experts, n)
     return plans
-
-
-def global_even_route(routing: np.ndarray, layout: ExpertLayout) -> np.ndarray:
-    """Topology-oblivious variant: always split across all global replicas.
-
-    Used by the ablation study to quantify the benefit of topology awareness in
-    lite routing.
-    """
-    routing = np.asarray(routing, dtype=np.int64)
-    n, num_experts = routing.shape
-    weights = layout.assignment.T.astype(np.float64)  # (E, N)
-    _check_replicas(routing, weights)
-    totals = routing.reshape(-1)                      # (N*E,)
-    tiled = np.tile(weights, (n, 1))                  # (N*E, N)
-    return _split_evenly_batched(totals, tiled).reshape(n, num_experts, n)
-
-
-def ep_route(routing: np.ndarray, layout: ExpertLayout) -> np.ndarray:
-    """Classic EP routing: all tokens of an expert go to its (unique) owner.
-
-    When the layout replicates an expert this degenerates to sending everything
-    to the first hosting device; it is provided for the vanilla-EP baseline
-    where layouts never replicate.
-    """
-    routing = np.asarray(routing, dtype=np.int64)
-    n, num_experts = routing.shape
-    plan = np.zeros((n, num_experts, n), dtype=np.int64)
-    for expert in range(num_experts):
-        hosts = layout.devices_hosting(expert)
-        if not hosts:
-            raise ValueError(f"expert {expert} has no replica in the layout")
-        owner = hosts[0]
-        plan[:, expert, owner] = routing[:, expert]
-    return plan

@@ -1,24 +1,27 @@
 """The load-balancing planner: asynchronous layout tuning + synchronous dispatch.
 
-The planner (Fig. 3 / Fig. 7) keeps a per-layer history of observed routing
-matrices.  While the GPU computes iteration ``t``, the (conceptually CPU-side)
+The planner (Fig. 3 / Fig. 7) keeps the newest observed routing matrix of each
+layer.  While the GPU computes iteration ``t``, the (conceptually CPU-side)
 expert layout tuner solves the re-layout strategy for iteration ``t + 1`` from
-the history -- so layouts are always one step behind the routing they react to,
-exactly as in the paper.  At execution time the synchronous token dispatcher
-(lite routing) maps the *actual* routing of the iteration onto the planned
-layout.
+it -- so layouts are always one step behind the routing they react to, exactly
+as in the paper.  At execution time the synchronous token dispatcher (lite
+routing) maps the *actual* routing of the iteration onto the planned layout.
+
+:meth:`LoadBalancingPlanner.step` is the one planner step (dispatch on the
+current layout, then observe and tune the next); :meth:`plan_iteration` and
+the LAER policy both run it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.cluster.topology import ClusterTopology
 from repro.core.cost_model import CostBreakdown, MoECostModel
-from repro.core.layout import ExpertLayout, static_ep_layout
+from repro.core.layout import ExpertLayout, round_robin_layout, static_ep_layout
 from repro.core.layout_tuner import ExpertLayoutTuner, TunerConfig
 from repro.core.lite_routing import lite_route
 from repro.telemetry.trace import span as _span
@@ -30,25 +33,15 @@ class PlannerConfig:
 
     Attributes:
         capacity: Expert capacity per device ``C``.
-        history_length: Number of past iterations kept per layer.
-        ema_decay: Exponential-moving-average decay applied to the history when
-            predicting the next iteration's routing (1.0 = use only the latest
-            observation, matching the paper's per-iteration adaptation).
         tuner: Configuration of the embedded expert layout tuner.
     """
 
     capacity: int
-    history_length: int = 8
-    ema_decay: float = 1.0
     tuner: TunerConfig = field(default_factory=TunerConfig)
 
     def __post_init__(self) -> None:
         if self.capacity <= 0:
             raise ValueError("capacity must be positive")
-        if self.history_length < 1:
-            raise ValueError("history_length must be at least 1")
-        if not 0.0 < self.ema_decay <= 1.0:
-            raise ValueError("ema_decay must be in (0, 1]")
 
 
 @dataclass
@@ -61,7 +54,7 @@ class IterationPlan:
             the iteration's actual routing.
         cost: Cost-model breakdown of ``(A, S)``.
         planned_from_history: Whether the layout came from the tuner (True) or
-            is the static fallback used before any history exists (False).
+            is the fallback used before any routing was observed (False).
     """
 
     layout: ExpertLayout
@@ -81,13 +74,13 @@ class LoadBalancingPlanner:
         self.config = config
         self.tuner = ExpertLayoutTuner(topology, cost_model, config.capacity,
                                        config.tuner)
-        self._history: Dict[int, List[np.ndarray]] = {}
+        self._latest: Dict[int, np.ndarray] = {}
         self._pending_layouts: Dict[int, ExpertLayout] = {}
         self._fallback_layout = self._build_fallback_layout()
 
     # ------------------------------------------------------------------
     def _build_fallback_layout(self) -> ExpertLayout:
-        """Layout used before any routing history exists.
+        """Layout used before any routing has been observed.
 
         When the classic EP layout is expressible (``E`` divisible by ``C`` and
         ``N`` divisible by ``E / C``) we start from it; otherwise we fall back
@@ -98,57 +91,34 @@ class LoadBalancingPlanner:
         try:
             return static_ep_layout(n, self.num_experts, capacity)
         except ValueError:
-            assignment = np.zeros((n, self.num_experts), dtype=np.int64)
-            expert = 0
-            for device in range(n):
-                for _ in range(capacity):
-                    assignment[device, expert % self.num_experts] += 1
-                    expert += 1
-            return ExpertLayout(assignment, capacity)
+            return round_robin_layout(n, self.num_experts, capacity)
 
     # ------------------------------------------------------------------
-    # History management (asynchronous layout tuner input)
+    # Observation (asynchronous layout tuner input)
     # ------------------------------------------------------------------
     def observe(self, layer: int, routing: np.ndarray) -> None:
         """Record the observed routing ``R`` of ``layer`` for the current iteration."""
         routing = np.asarray(routing, dtype=np.int64)
         if routing.shape != (self.topology.num_devices, self.num_experts):
             raise ValueError("routing matrix has the wrong shape")
-        history = self._history.setdefault(layer, [])
-        history.append(routing.copy())
-        if len(history) > self.config.history_length:
-            history.pop(0)
-
-    def predicted_routing(self, layer: int) -> Optional[np.ndarray]:
-        """Predict the next iteration's routing of ``layer`` from its history."""
-        history = self._history.get(layer)
-        if not history:
-            return None
-        if self.config.ema_decay >= 1.0 or len(history) == 1:
-            return history[-1].astype(np.float64)
-        weights = np.array([
-            (1.0 - self.config.ema_decay) ** (len(history) - 1 - idx)
-            for idx in range(len(history))
-        ])
-        weights /= weights.sum()
-        stacked = np.stack(history).astype(np.float64)
-        return np.tensordot(weights, stacked, axes=1)
+        self._latest[layer] = routing.copy()
 
     # ------------------------------------------------------------------
     # Asynchronous layout tuning
     # ------------------------------------------------------------------
     def tune_layout(self, layer: int) -> ExpertLayout:
-        """Run the layout tuner for ``layer`` using its routing history.
+        """Run the layout tuner for ``layer`` on its newest observed routing.
 
         This models the CPU-side solve that happens while the GPU computes the
         current iteration; the returned layout is cached and used by the next
-        :meth:`plan_iteration` call for this layer.
+        :meth:`step` for this layer.  Before any observation it is the
+        fallback layout.
         """
-        predicted = self.predicted_routing(layer)
-        if predicted is None:
+        routing = self._latest.get(layer)
+        if routing is None:
             layout = self._fallback_layout.copy()
         else:
-            layout = self.tuner.solve(np.rint(predicted).astype(np.int64)).layout
+            layout = self.tuner.solve(routing).layout
         self._pending_layouts[layer] = layout
         return layout
 
@@ -164,8 +134,26 @@ class LoadBalancingPlanner:
         return lite_route(np.asarray(routing, dtype=np.int64), layout, self.topology)
 
     # ------------------------------------------------------------------
-    # Full per-iteration planning
+    # The planner step and full per-iteration planning
     # ------------------------------------------------------------------
+    def step(self, layer: int,
+             routing: np.ndarray) -> Tuple[ExpertLayout, np.ndarray]:
+        """Plan one layer of one iteration: returns ``(layout, plan)``.
+
+        The layout is the one tuned from earlier observations (asynchronous
+        adaptation); the dispatcher routes the iteration's actual
+        ``routing`` onto it.  Afterwards the routing is observed and the
+        layout for this layer's next iteration is tuned.
+        """
+        layout = self.current_layout(layer)
+        # Telemetry phases (no-op spans while no tracer is armed).
+        with _span("planner.lite-route", layer=layer):
+            plan = self.dispatch(routing, layout)
+        with _span("planner.layout-tune", layer=layer):
+            self.observe(layer, routing)
+            self.tune_layout(layer)
+        return layout, plan
+
     def plan_iteration(self, routing_by_layer: np.ndarray) -> List[IterationPlan]:
         """Plan one training iteration for every MoE layer.
 
@@ -174,36 +162,24 @@ class LoadBalancingPlanner:
                 iteration (what the gate just produced).
 
         Returns:
-            One :class:`IterationPlan` per layer.  The layout of each layer is
-            the one tuned from *previous* iterations' history (asynchronous
-            adaptation); the dispatch uses the current iteration's routing.
-            After planning, the current routing is pushed into the history and
-            a new layout is tuned for the next iteration.
+            One :class:`IterationPlan` per layer: the :meth:`step` of that
+            layer plus the cost-model breakdown of its ``(A, S)``.
         """
         routing_by_layer = np.asarray(routing_by_layer, dtype=np.int64)
         if routing_by_layer.ndim != 3:
             raise ValueError("routing_by_layer must have shape (layers, N, E)")
         plans: List[IterationPlan] = []
         for layer in range(routing_by_layer.shape[0]):
-            routing = routing_by_layer[layer]
             planned = layer in self._pending_layouts
-            layout = self.current_layout(layer)
-            # Telemetry phases (no-op spans while no tracer is armed).
-            with _span("planner.lite-route", layer=layer):
-                plan = self.dispatch(routing, layout)
+            layout, plan = self.step(layer, routing_by_layer[layer])
             with _span("planner.cost-eval", layer=layer):
                 cost = self.cost_model.evaluate(plan)
             plans.append(IterationPlan(layout=layout, routing_plan=plan,
                                        cost=cost, planned_from_history=planned))
-            # Asynchronous part: feed the observation to the tuner so the next
-            # iteration of this layer uses an updated layout.
-            with _span("planner.layout-tune", layer=layer):
-                self.observe(layer, routing)
-                self.tune_layout(layer)
         return plans
 
     def reset(self) -> None:
-        """Clear all history, pending layouts and the tuner's random stream."""
-        self._history.clear()
+        """Forget observed routing and pending layouts; re-seed the tuner."""
+        self._latest.clear()
         self._pending_layouts.clear()
         self.tuner.reset()

@@ -1,14 +1,14 @@
-"""Scalar reference kernels: verbatim ports of the pre-vectorization loops.
+"""Scalar reference kernels: the one oracle for the vectorized kernels.
 
-The vectorized simulation kernels (matrix-form ``all_to_all``, batched
-routing draws, batched lite-routing splits, lexicographic replica
-placement) replaced per-pair / per-device Python loops.  This module keeps
-the original loop semantics in one canonical place so that
+The vectorized kernels (matrix-form ``all_to_all``, batched routing draws,
+batched lite routing and cost evaluation, lexicographic replica placement)
+replaced per-pair / per-device / per-plan Python code.  This module keeps
+the original semantics in one canonical place so that
 
-* ``tests/test_vectorized_kernels.py`` can assert scalar-vs-vectorized
-  equivalence against the true original behaviour, and
-* ``benchmarks/bench_perf.py`` can patch the scalar kernels back in and
-  measure an honest before/after on the same host
+* the tests can assert equivalence against the true original behaviour on
+  the same inputs, and
+* the benchmarks can patch or call the scalar kernels and measure an
+  honest before/after on the same host
 
 without maintaining two drifting copies of the reference code.  Nothing in
 the production pipeline imports this module.
@@ -17,6 +17,8 @@ the production pipeline imports this module.
 from __future__ import annotations
 
 import numpy as np
+
+from repro.core.cost_model import CostBreakdown
 
 
 def scalar_all_to_all(model, traffic, group=None):
@@ -100,6 +102,21 @@ def scalar_lite_route(routing, layout, topology):
                 raise ValueError(f"expert {expert} has no replica")
             plan[rank, expert] = scalar_split_evenly(tokens, targets)
     return plan
+
+
+def scalar_evaluate(cost_model, plan):
+    """Original single-plan ``MoECostModel.evaluate`` arithmetic: pairwise
+    traffic over ``1/bw``, then the slowest device's compute."""
+    plan = np.asarray(plan, dtype=np.float64)
+    pairwise = plan.sum(axis=1)
+    seconds = float(np.sum(pairwise
+                           * (1.0 / cost_model.topology.bandwidth_matrix())))
+    comm = cost_model.num_all_to_all * cost_model.comm_bytes_per_token * seconds
+    tokens = plan.sum(axis=(0, 1))
+    factor = 4.0 if cost_model.activation_checkpointing else 3.0
+    comp = float(factor * tokens.max() * cost_model.compute_flops_per_token
+                 / cost_model.device_flops)
+    return CostBreakdown(comm + comp, comm, comp, tokens, int(tokens.max()))
 
 
 def scalar_select_device(node_counts, node_of, device_slots, device_loads,

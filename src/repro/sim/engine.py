@@ -209,8 +209,8 @@ class TrainingRunSimulator:
         for iteration in range(total):
             # Telemetry phases (no-op spans unless a tracer is armed):
             # drawing the routing frame, the policy decision (which is
-            # where the planner's lite-route / cost-eval / layout-tuning
-            # sub-phases nest), and the cost simulation itself.
+            # where the planner's lite-route / layout-tune sub-phases
+            # nest), and the cost simulation itself.
             with _span("sim.routing-draw", system=self.system.name,
                        iteration=iteration):
                 routing = next(frames, None)

@@ -6,6 +6,7 @@ import pytest
 from repro.core.cost_model import MoECostModel
 from repro.core.layout import static_ep_layout
 from repro.core.lite_routing import lite_route
+from repro.scalar_reference import scalar_evaluate
 from repro.workloads.model_configs import get_model_config, tiny_test_config
 
 
@@ -25,26 +26,27 @@ def balanced_plan(n=8, e=8, tokens=64):
 class TestCostTerms:
     def test_local_plan_has_zero_comm(self, cost_model):
         plan = balanced_plan()
-        assert cost_model.comm_time(plan) == 0.0
+        assert cost_model.evaluate(plan).comm_time == 0.0
 
     def test_remote_plan_has_positive_comm(self, cost_model):
         plan = balanced_plan()
         plan[0, 0, 0] = 0
         plan[0, 0, 7] = 8
-        assert cost_model.comm_time(plan) > 0.0
+        assert cost_model.evaluate(plan).comm_time > 0.0
 
     def test_inter_node_costs_more_than_intra(self, cost_model):
         intra = np.zeros((8, 8, 8), dtype=np.int64)
         intra[0, 0, 1] = 100
         inter = np.zeros((8, 8, 8), dtype=np.int64)
         inter[0, 0, 4] = 100
-        assert cost_model.comm_time(inter) > cost_model.comm_time(intra)
+        assert (cost_model.evaluate(inter).comm_time
+                > cost_model.evaluate(intra).comm_time)
 
     def test_comp_time_uses_max_device(self, cost_model):
         plan = balanced_plan()
-        base = cost_model.comp_time(plan)
+        base = cost_model.evaluate(plan).comp_time
         plan[0, 0, 0] += 1000
-        assert cost_model.comp_time(plan) > base
+        assert cost_model.evaluate(plan).comp_time > base
 
     def test_comp_time_checkpointing_factor(self, small_topology):
         config = tiny_test_config()
@@ -52,11 +54,12 @@ class TestCostTerms:
         ckpt = MoECostModel.from_model_config(config, small_topology,
                                               activation_checkpointing=True)
         plan = balanced_plan()
-        assert ckpt.comp_time(plan) == pytest.approx(4 / 3 * plain.comp_time(plan))
+        assert ckpt.evaluate(plan).comp_time == pytest.approx(
+            4 / 3 * plain.evaluate(plan).comp_time)
 
     def test_tokens_per_device(self, cost_model):
         plan = balanced_plan(tokens=64)
-        assert np.all(cost_model.tokens_per_device(plan) == 64)
+        assert np.all(cost_model.evaluate(plan).tokens_per_device == 64)
 
     def test_evaluate_consistency(self, cost_model):
         plan = balanced_plan()
@@ -67,11 +70,11 @@ class TestCostTerms:
 
     def test_plan_validation(self, cost_model):
         with pytest.raises(ValueError):
-            cost_model.comm_time(np.zeros((3, 3, 3)))
+            cost_model.evaluate(np.zeros((3, 3, 3)))
         bad = balanced_plan().astype(float)
         bad[0, 0, 0] = -1
         with pytest.raises(ValueError):
-            cost_model.comm_time(bad)
+            cost_model.evaluate(bad)
 
 
 class TestConstraints:
@@ -125,10 +128,16 @@ class TestEvaluateBatch:
         plans = rng.integers(0, 300, size=(5, 8, 8, 8)).astype(np.int64)
         batched = small_cost_model.evaluate_batch(plans)
         for index in range(plans.shape[0]):
-            scalar = small_cost_model.evaluate(plans[index])
+            scalar = scalar_evaluate(small_cost_model, plans[index])
             assert batched[index].comm_time == scalar.comm_time
             assert batched[index].comp_time == scalar.comp_time
             assert batched[index].total == scalar.total
+            assert batched[index].max_tokens == scalar.max_tokens
+            assert np.array_equal(batched[index].tokens_per_device,
+                                  scalar.tokens_per_device)
+            single = small_cost_model.evaluate(plans[index])
+            assert (single.comm_time, single.comp_time, single.total) == \
+                (scalar.comm_time, scalar.comp_time, scalar.total)
 
     def test_batch_shape_validation(self, small_cost_model):
         with pytest.raises(ValueError):

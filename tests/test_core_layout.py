@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core.layout import ExpertLayout, replicate_all_layout, static_ep_layout
+from repro.core.layout import (
+    ExpertLayout,
+    replicate_all_layout,
+    round_robin_layout,
+    static_ep_layout,
+)
 
 
 class TestExpertLayout:
@@ -94,6 +99,16 @@ class TestReferenceLayouts:
             static_ep_layout(num_devices=8, num_experts=7, capacity=2)
         with pytest.raises(ValueError):
             static_ep_layout(num_devices=6, num_experts=8, capacity=2)
+
+    def test_round_robin_layout_where_static_ep_raises(self):
+        with pytest.raises(ValueError):
+            static_ep_layout(num_devices=3, num_experts=5, capacity=2)
+        layout = round_robin_layout(num_devices=3, num_experts=5, capacity=2)
+        assert layout.as_dict() == {0: [0, 1], 1: [2, 3], 2: [0, 4]}
+        layout.validate(require_full_capacity=True)
+        # More slots per device than experts: replicas repeat on a device.
+        wrapped = round_robin_layout(num_devices=2, num_experts=3, capacity=4)
+        assert wrapped.assignment.tolist() == [[2, 1, 1], [1, 2, 1]]
 
     def test_replicate_all_layout(self):
         layout = replicate_all_layout(num_devices=3, num_experts=5)

@@ -7,6 +7,7 @@ from repro.core.cost_model import MoECostModel
 from repro.core.layout import static_ep_layout
 from repro.core.layout_tuner import ExpertLayoutTuner, TunerConfig
 from repro.core.lite_routing import lite_route
+from repro.scalar_reference import scalar_evaluate, scalar_lite_route
 from repro.workloads.model_configs import tiny_test_config
 from repro.workloads.routing_traces import RoutingTraceConfig, SyntheticRoutingTraceGenerator
 
@@ -125,9 +126,16 @@ class TestReset:
 
 
 class TestBatchEval:
+    @pytest.fixture
+    def scalar_router(self, monkeypatch):
+        """``batch_eval=False`` routes each candidate with the scalar oracle."""
+        monkeypatch.setattr("repro.core.layout_tuner.lite_route",
+                            scalar_lite_route)
+
     @pytest.mark.parametrize("candidates", [2, 4, 8])
     def test_batched_solve_is_bit_identical_to_scalar(
-            self, small_topology, small_cost_model, candidates):
+            self, small_topology, small_cost_model, candidates,
+            scalar_router):
         routing = skewed_routing(seed=candidates)
         batched = ExpertLayoutTuner(
             small_topology, small_cost_model, 2,
@@ -139,6 +147,8 @@ class TestBatchEval:
                         batch_eval=False)).solve(routing)
         # Not approx: the batched path must be the same arithmetic.
         assert batched.candidate_costs == scalar.candidate_costs
+        assert batched.cost.total == scalar_evaluate(
+            small_cost_model, scalar.routing_plan).total
         assert batched.cost.total == scalar.cost.total
         assert batched.cost.comm_time == scalar.cost.comm_time
         assert np.array_equal(batched.routing_plan, scalar.routing_plan)
@@ -146,7 +156,8 @@ class TestBatchEval:
                               scalar.layout.assignment)
 
     def test_tie_breaks_pick_the_first_candidate(self, small_topology,
-                                                 small_cost_model):
+                                                 small_cost_model,
+                                                 scalar_router):
         """Equal-cost candidates resolve identically on both paths."""
         routing = np.full((8, 8), 64, dtype=np.int64)
         batched = ExpertLayoutTuner(

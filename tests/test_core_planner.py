@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.baselines.laer import LAERPolicy
+from repro.core.layout import static_ep_layout
 from repro.core.layout_tuner import TunerConfig
 from repro.core.planner import IterationPlan, LoadBalancingPlanner, PlannerConfig
 from repro.workloads.routing_traces import RoutingTraceConfig, SyntheticRoutingTraceGenerator
@@ -25,38 +27,24 @@ class TestPlannerConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             PlannerConfig(capacity=0)
-        with pytest.raises(ValueError):
-            PlannerConfig(capacity=2, history_length=0)
-        with pytest.raises(ValueError):
-            PlannerConfig(capacity=2, ema_decay=0.0)
 
 
 class TestHistory:
     def test_observe_and_predict_latest(self, planner):
-        routing = np.full((8, 8), 10, dtype=np.int64)
-        planner.observe(0, routing)
-        predicted = planner.predicted_routing(0)
-        assert np.array_equal(predicted, routing)
+        """The newest observed routing alone drives the tune."""
+        old = np.full((8, 8), 10, dtype=np.int64)
+        old[:, 0] = 400
+        new = np.full((8, 8), 10, dtype=np.int64)
+        new[:, 7] = 400
+        planner.observe(0, old)
+        planner.observe(0, new)
+        layout = planner.tune_layout(0)
+        assert layout == planner.tuner.solve(new).layout
+        assert layout != planner.tuner.solve(old).layout
 
-    def test_no_history_returns_none(self, planner):
-        assert planner.predicted_routing(3) is None
-
-    def test_history_length_bounded(self, small_topology, small_cost_model):
-        planner = LoadBalancingPlanner(
-            small_topology, small_cost_model, 8,
-            PlannerConfig(capacity=2, history_length=2))
-        for value in range(5):
-            planner.observe(0, np.full((8, 8), value, dtype=np.int64))
-        assert len(planner._history[0]) == 2
-
-    def test_ema_prediction_blends_history(self, small_topology, small_cost_model):
-        planner = LoadBalancingPlanner(
-            small_topology, small_cost_model, 8,
-            PlannerConfig(capacity=2, ema_decay=0.5))
-        planner.observe(0, np.zeros((8, 8), dtype=np.int64))
-        planner.observe(0, np.full((8, 8), 10, dtype=np.int64))
-        predicted = planner.predicted_routing(0)
-        assert 0 < predicted[0, 0] < 10
+    def test_no_observation_tunes_fallback_layout(self, planner):
+        assert planner.tune_layout(3) == static_ep_layout(8, 8, 2)
+        assert planner.current_layout(3) == static_ep_layout(8, 8, 2)
 
     def test_observe_wrong_shape(self, planner):
         with pytest.raises(ValueError):
@@ -129,3 +117,30 @@ class TestPlanIteration:
         layout = planner.current_layout(0)
         plan = planner.dispatch(trace.layer(0, 0), layout)
         assert np.array_equal(plan.sum(axis=2), trace.layer(0, 0))
+
+
+class TestStep:
+    def test_step_dispatches_then_tunes(self, planner):
+        trace = make_trace()
+        routing = trace.layer(0, 0)
+        fallback = planner.current_layout(0)
+        layout, plan = planner.step(0, routing)
+        assert layout == fallback
+        assert np.array_equal(plan, planner.dispatch(routing, fallback))
+        assert planner.current_layout(0) == planner.tuner.solve(routing).layout
+
+    def test_laer_policy_matches_plan_iteration(self, small_topology,
+                                                small_cost_model):
+        """LAER's decisions are the planner's plans, frame for frame."""
+        trace = make_trace(iterations=4, seed=2)
+        policy = LAERPolicy(small_topology, 8, 2, 1e6, small_cost_model)
+        planner = LoadBalancingPlanner(small_topology, small_cost_model, 8,
+                                       PlannerConfig(capacity=2))
+        for it in range(trace.num_iterations):
+            decisions = policy.decide_iteration(trace.iteration(it))
+            plans = planner.plan_iteration(trace.iteration(it))
+            assert len(decisions) == len(plans) == trace.num_layers
+            for decision, plan in zip(decisions, plans):
+                assert decision.layout == plan.layout
+                assert np.array_equal(decision.routing_plan,
+                                      plan.routing_plan)

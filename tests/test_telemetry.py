@@ -378,9 +378,21 @@ class TestPhaseProfiling:
                   if event["type"] == "span"}
         assert {"sim.routing-draw", "sim.decide", "sim.simulate",
                 "sim.layer"} <= phases
-        # laer routes through the planner's phases as well.
-        assert {"planner.lite-route", "planner.cost-eval",
-                "planner.layout-tune"} & phases or True
+
+    def test_laer_planner_spans_nest_under_decide(self, tmp_path):
+        """LAER's decision runs the planner step, so its spans are on the
+        path a ``laer`` run takes."""
+        install(Tracer(tmp_path, scope="runner"))
+        ExperimentRunner(parallel=False).run(
+            small_spec(systems=("laer",), reference="laer"))
+        uninstall()
+        spans = [event for event in read_events(tmp_path)
+                 if event["type"] == "span"]
+        decide = {event["id"] for event in spans
+                  if event["name"] == "sim.decide"}
+        nested = {event["name"] for event in spans
+                  if event["parent"] in decide}
+        assert {"planner.lite-route", "planner.layout-tune"} <= nested
 
     def test_store_digest_identical_with_tracing_on_and_off(self, tmp_path):
         spec = small_spec()
