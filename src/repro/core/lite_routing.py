@@ -127,7 +127,8 @@ def lite_route_batch(routing: np.ndarray, layouts: "list[ExpertLayout]",
                        ).astype(np.float64)                      # (M, E, N)
     plans = np.zeros((m, n, num_experts, n), dtype=np.int64)
     for node in range(topology.num_nodes):
-        ranks = topology.devices_on_node(node)
+        ranks = np.asarray(topology.devices_on_node(node))
+        node_routing = routing[ranks]                            # (R, E)
         # Per-candidate node target weights, shared by every sender on the
         # node: intra-node replicas when the node hosts any (keeping traffic
         # on NVLink), global replicas otherwise.
@@ -135,16 +136,17 @@ def lite_route_batch(routing: np.ndarray, layouts: "list[ExpertLayout]",
         intra[:, :, ranks] = replica[:, :, ranks]
         has_intra = intra.sum(axis=2) > 0                        # (M, E)
         weights = np.where(has_intra[:, :, None], intra, replica)
-        missing = ((routing[ranks].sum(axis=0) > 0)[None, :]
-                   & (weights.sum(axis=2) <= 0))
-        if np.any(missing):
-            expert = int(np.argmax(np.any(missing, axis=0)))
+        missing = (node_routing.sum(axis=0) > 0) & (weights.sum(axis=2) <= 0)
+        if missing.any():
+            expert = int(np.argmax(missing.any(axis=0)))
             raise ValueError(f"expert {expert} has no replica in the layout")
+        # One row per (candidate, sender, expert).  ndarray.repeat, not
+        # np.tile/np.broadcast_to, so a batch of one costs no more than the
+        # single-layout loop it replaced.
         num_ranks = len(ranks)
-        totals = np.tile(routing[ranks].reshape(-1), m)          # (M*R*E,)
-        tiled = np.broadcast_to(
-            weights[:, None, :, :], (m, num_ranks, num_experts, n)
-        ).reshape(m * num_ranks * num_experts, n)
-        plans[:, ranks] = _split_evenly_batched(totals, tiled).reshape(
-            m, num_ranks, num_experts, n)
+        totals = node_routing.reshape(1, -1).repeat(m, axis=0)   # (M, R*E)
+        tiled = weights[:, None].repeat(num_ranks, axis=1)       # (M, R, E, N)
+        plans[:, ranks] = _split_evenly_batched(
+            totals.reshape(-1), tiled.reshape(-1, n)
+        ).reshape(m, num_ranks, num_experts, n)
     return plans
