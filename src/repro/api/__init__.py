@@ -19,8 +19,9 @@ experiment as data (:class:`ExperimentSpec`), execute it with
 
 Specs round-trip losslessly through JSON (``spec.save("exp.json")`` /
 ``ExperimentSpec.load("exp.json")``), which is what ``repro run --spec``
-consumes.  Systems are resolved through the decorator-based registry in
-:mod:`repro.sim.systems`; register your own with
+consumes.  Systems and scenarios are resolved through the registries in
+:mod:`repro.sim.systems` and :mod:`repro.workloads.scenarios` (both
+:class:`repro.registry.Registry` instances); register your own with
 :func:`repro.sim.systems.register_system` and reference it from a spec by
 name -- no edits to this package required.
 """

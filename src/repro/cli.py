@@ -142,7 +142,7 @@ import shutil
 import sys
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.analysis.reporting import (
     format_phase_breakdown,
@@ -229,13 +229,7 @@ from repro.suite import (
     graduate,
 )
 from repro.workloads.model_configs import get_model_config, list_model_configs
-from repro.workloads.scenarios import (
-    available_scenario_wrappers,
-    available_scenarios,
-    registered_scenario,
-    registered_scenario_wrapper,
-    scenario_descriptions,
-)
+from repro.workloads.scenarios import SCENARIOS, SCENARIO_WRAPPERS
 from repro.workloads.trace_io import save_trace, summarize_trace
 
 
@@ -245,16 +239,19 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro", description="LAER-MoE reproduction command line")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("models", help="list the Table 2 model configurations")
-    sub.add_parser("systems", help="list the registered training systems")
-    scenarios = sub.add_parser(
-        "scenarios", help="list the registered routing scenarios")
+    _command(sub, "models", cmd_models,
+             help="list the Table 2 model configurations")
+    _command(sub, "systems", cmd_systems,
+             help="list the registered training systems")
+    scenarios = _command(
+        sub, "scenarios", cmd_scenarios,
+        help="list the registered routing scenarios")
     scenarios.add_argument("--verbose", "-v", action="store_true",
                            help="also print each scenario's parameters with "
                                 "types and defaults")
 
-    trace = sub.add_parser(
-        "trace",
+    trace = _command(
+        sub, "trace", cmd_trace,
         help="generate a synthetic routing trace, or record/export a "
              "cross-process telemetry trace")
     _add_common_workload_args(trace)
@@ -266,8 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     trsub = trace.add_subparsers(
         dest="trace_command", required=False, metavar="{record,export}",
         help="telemetry tracing (omit for the synthetic routing trace)")
-    trace_record = trsub.add_parser(
-        "record",
+    trace_record = _command(
+        trsub, "record", cmd_trace_record,
         help="run a repro command with the tracer armed, collecting span "
              "events from every process it spawns")
     trace_record.add_argument("--dir", dest="trace_dir", type=str,
@@ -278,8 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
                               metavar="-- COMMAND ...",
                               help="the repro command line to trace, e.g. "
                                    "-- fleet run sweep-cluster-sizes ...")
-    trace_export = trsub.add_parser(
-        "export",
+    trace_export = _command(
+        trsub, "export", cmd_trace_export,
         help="merge recorded span events into Chrome trace-event JSON "
              "plus a per-phase time breakdown")
     trace_export.add_argument("--dir", dest="trace_dir", type=str,
@@ -291,16 +288,18 @@ def build_parser() -> argparse.ArgumentParser:
                               help="Chrome trace JSON path "
                                    "(default: <dir>/trace.json)")
 
-    compare = sub.add_parser("compare", help="simulate the training systems")
+    compare = _command(sub, "compare", cmd_compare,
+                       help="simulate the training systems")
     _add_common_workload_args(compare)
     _add_simulation_args(compare)
 
-    plan = sub.add_parser("plan", help="run the planner over a trace")
+    plan = _command(sub, "plan", cmd_plan, help="run the planner over a trace")
     _add_common_workload_args(plan)
     plan.add_argument("--iterations", type=int, default=6)
 
-    run = sub.add_parser(
-        "run", help="run a declarative experiment spec end to end")
+    run = _command(
+        sub, "run", cmd_run,
+        help="run a declarative experiment spec end to end")
     _add_common_workload_args(run)
     _add_simulation_args(run)
     run.add_argument("--name", type=str, default="experiment",
@@ -314,14 +313,16 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--output", type=str, default=None,
                      help="optional path to save the JSON experiment result")
 
-    sub.add_parser("studies", help="list the registered study definitions")
+    _command(sub, "studies", cmd_studies,
+             help="list the registered study definitions")
 
     study = sub.add_parser(
         "study", help="run sweeps into a persistent result store")
     ssub = study.add_subparsers(dest="study_command", required=True)
 
-    study_run = ssub.add_parser(
-        "run", help="expand a study into its grid and execute it (resumable)")
+    study_run = _command(
+        ssub, "run", cmd_study_run,
+        help="expand a study into its grid and execute it (resumable)")
     study_run.add_argument("study",
                            help="registered study name (see 'repro studies') "
                                 "or a StudySpec JSON file")
@@ -349,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
                                 "PATH ('-' for stdout) and exit without "
                                 "running")
 
-    study_ls = ssub.add_parser("ls", help="list the runs stored in a store")
+    study_ls = _command(ssub, "ls", cmd_study_ls,
+                        help="list the runs stored in a store")
     _add_store_arg(study_ls)
     study_ls.add_argument("--name", type=str, default=None,
                           help="filter by experiment name ('prefix*' allowed)")
@@ -362,14 +364,16 @@ def build_parser() -> argparse.ArgumentParser:
     study_ls.add_argument("--tag", type=str, default=None,
                           help="filter by tag")
 
-    study_diff = ssub.add_parser(
-        "diff", help="per-system, per-metric deltas between two stored runs")
+    study_diff = _command(
+        ssub, "diff", cmd_study_diff,
+        help="per-system, per-metric deltas between two stored runs")
     study_diff.add_argument("run_a", help="base run id")
     study_diff.add_argument("run_b", help="other run id")
     _add_store_arg(study_diff)
 
-    study_report = ssub.add_parser(
-        "report", help="render the stored runs of a study as markdown")
+    study_report = _command(
+        ssub, "report", cmd_study_report,
+        help="render the stored runs of a study as markdown")
     _add_store_arg(study_report)
     study_report.add_argument("--study", type=str, default=None,
                               help="restrict to runs of one study "
@@ -388,8 +392,9 @@ def build_parser() -> argparse.ArgumentParser:
                                    "trace record') whose per-phase time "
                                    "breakdown is appended as a section")
 
-    study_gate = ssub.add_parser(
-        "gate", help="exit nonzero when stored runs regressed vs a baseline")
+    study_gate = _command(
+        ssub, "gate", cmd_study_gate,
+        help="exit nonzero when stored runs regressed vs a baseline")
     _add_store_arg(study_gate)
     study_gate.add_argument("--baseline", type=str, required=True,
                             help="baseline tag the candidates are compared "
@@ -409,17 +414,19 @@ def build_parser() -> argparse.ArgumentParser:
                       "adversarial search")
     susub = suite.add_subparsers(dest="suite_command", required=True)
 
-    suite_make = susub.add_parser(
-        "make", help="emit the curated default suite as JSON")
+    suite_make = _command(
+        susub, "make", cmd_suite_make,
+        help="emit the curated default suite as JSON")
     suite_make.add_argument("--output", type=str, default=None, metavar="PATH",
                             help="write the suite JSON to PATH instead of "
                                  "stdout")
 
-    suite_ls = susub.add_parser("ls", help="list a suite's members")
+    suite_ls = _command(susub, "ls", cmd_suite_ls,
+                        help="list a suite's members")
     suite_ls.add_argument("suite", help="SuiteSpec JSON file")
 
-    suite_char = susub.add_parser(
-        "characterize",
+    suite_char = _command(
+        susub, "characterize", cmd_suite_characterize,
         help="stream every member and compute its workload metrics")
     suite_char.add_argument("suite", help="SuiteSpec JSON file")
     suite_char.add_argument("--num-nodes", type=int, default=1)
@@ -428,8 +435,9 @@ def build_parser() -> argparse.ArgumentParser:
                             help="write the characterization JSON to PATH "
                                  "(default: render the report to stdout)")
 
-    suite_report = susub.add_parser(
-        "report", help="render a suite characterization as markdown")
+    suite_report = _command(
+        susub, "report", cmd_suite_report,
+        help="render a suite characterization as markdown")
     suite_report.add_argument("suite", help="SuiteSpec JSON file")
     suite_report.add_argument("--characterization", type=str, default=None,
                               metavar="PATH",
@@ -442,8 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
                               help="write the markdown report to a file "
                                    "instead of stdout")
 
-    suite_search = susub.add_parser(
-        "search",
+    suite_search = _command(
+        susub, "search", cmd_suite_search,
         help="adversarial search: find scenarios maximizing a system's "
              "regret vs the oracle")
     suite_search.add_argument("suite", help="SuiteSpec JSON file")
@@ -471,8 +479,9 @@ def build_parser() -> argparse.ArgumentParser:
         "fleet", help="multi-process sweep execution over a shared store")
     fsub = fleet.add_subparsers(dest="fleet_command", required=True)
 
-    fleet_run = fsub.add_parser(
-        "run", help="drain a study's grid with N worker processes")
+    fleet_run = _command(
+        fsub, "run", cmd_fleet_run,
+        help="drain a study's grid with N worker processes")
     fleet_run.add_argument("study",
                            help="registered study name (see 'repro studies') "
                                 "or a StudySpec JSON file")
@@ -498,25 +507,28 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_run.add_argument("--quiet", action="store_true",
                            help="suppress the periodic progress lines")
 
-    fleet_status = fsub.add_parser(
-        "status", help="per-queue cell counts of a store's fleet queues")
+    fleet_status = _command(
+        fsub, "status", cmd_fleet_status,
+        help="per-queue cell counts of a store's fleet queues")
     _add_store_arg(fleet_status, required=False)
     fleet_status.add_argument("--queue", type=str, default=None,
                               metavar="DIR",
                               help="inspect one queue directory instead of "
                                    "every queue under the store")
 
-    fleet_workers = fsub.add_parser(
-        "workers", help="per-worker claim counts and lease heartbeats")
+    fleet_workers = _command(
+        fsub, "workers", cmd_fleet_workers,
+        help="per-worker claim counts and lease heartbeats")
     _add_store_arg(fleet_workers, required=False)
     fleet_workers.add_argument("--queue", type=str, default=None,
                                metavar="DIR",
                                help="inspect one queue directory instead of "
                                     "every queue under the store")
 
-    fleet_watch = fsub.add_parser(
-        "watch", help="live queue depth, per-worker heartbeat ages and "
-                      "completed-cell rate")
+    fleet_watch = _command(
+        fsub, "watch", cmd_fleet_watch,
+        help="live queue depth, per-worker heartbeat ages and "
+             "completed-cell rate")
     _add_store_arg(fleet_watch, required=False)
     fleet_watch.add_argument("--queue", type=str, default=None, metavar="DIR",
                              help="watch one queue directory instead of "
@@ -531,8 +543,9 @@ def build_parser() -> argparse.ArgumentParser:
                              help="stop watching after SECONDS even while "
                                   "the queues are still running")
 
-    serve = sub.add_parser(
-        "serve", help="serve specs from the result cache (long-lived daemon)")
+    serve = _command(
+        sub, "serve", cmd_serve,
+        help="serve specs from the result cache (long-lived daemon)")
     _add_store_arg(serve)
     serve.add_argument("--host", type=str, default=DEFAULT_HOST,
                        help=f"TCP bind host (default: {DEFAULT_HOST})")
@@ -574,8 +587,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--verbose", action="store_true",
                        help="log one line per request to stderr")
 
-    submit = sub.add_parser(
-        "submit", help="submit a spec to a running 'repro serve' daemon")
+    submit = _command(
+        sub, "submit", cmd_submit,
+        help="submit a spec to a running 'repro serve' daemon")
     submit.add_argument("--address", type=str,
                         default=f"{DEFAULT_HOST}:{DEFAULT_PORT}",
                         metavar="ADDR",
@@ -620,7 +634,8 @@ def build_parser() -> argparse.ArgumentParser:
         "store", help="result-store maintenance (ls/compact/rebuild)")
     stsub = store_cmd.add_subparsers(dest="store_command", required=True)
 
-    store_ls = stsub.add_parser("ls", help="list the runs stored in a store")
+    store_ls = _command(stsub, "ls", cmd_store_ls,
+                        help="list the runs stored in a store")
     _add_store_arg(store_ls)
     store_ls.add_argument("--name", type=str, default=None,
                           help="filter by experiment name ('prefix*' allowed)")
@@ -637,16 +652,19 @@ def build_parser() -> argparse.ArgumentParser:
                                "(index cache hits/misses, journal lines, "
                                "auto-compactions) from the metrics registry")
 
-    store_compact = stsub.add_parser(
-        "compact", help="fold the append-only index journal into index.json")
+    store_compact = _command(
+        stsub, "compact", cmd_store_compact,
+        help="fold the append-only index journal into index.json")
     _add_store_arg(store_compact)
 
-    store_rebuild = stsub.add_parser(
-        "rebuild", help="regenerate the index from the run files (the truth)")
+    store_rebuild = _command(
+        stsub, "rebuild", cmd_store_rebuild,
+        help="regenerate the index from the run files (the truth)")
     _add_store_arg(store_rebuild)
 
-    store_prune = stsub.add_parser(
-        "prune", help="bounded eviction: delete old runs by age and/or count")
+    store_prune = _command(
+        stsub, "prune", cmd_store_prune,
+        help="bounded eviction: delete old runs by age and/or count")
     _add_store_arg(store_prune)
     store_prune.add_argument("--older-than", type=float, default=None,
                              metavar="DAYS",
@@ -668,9 +686,10 @@ def build_parser() -> argparse.ArgumentParser:
                       "(crash/torn-write/stall) with invariant checking")
     chsub = chaos.add_subparsers(dest="chaos_command", required=True)
 
-    chaos_run = chsub.add_parser(
-        "run", help="execute a fault plan against a scratch store and "
-                    "verify the crash-consistency invariants")
+    chaos_run = _command(
+        chsub, "run", cmd_chaos_run,
+        help="execute a fault plan against a scratch store and "
+             "verify the crash-consistency invariants")
     chaos_run.add_argument("--plan", type=str, required=True,
                            choices=PLAN_NAMES,
                            help="which built-in fault campaign to run")
@@ -689,18 +708,21 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_run.add_argument("--report", type=str, default=None, metavar="PATH",
                            help="also write the full JSON chaos report here")
 
-    chsub.add_parser("plans", help="list the built-in chaos plans")
-    chsub.add_parser("points", help="list the named fault-injection points")
+    _command(chsub, "plans", cmd_chaos_plans,
+             help="list the built-in chaos plans")
+    _command(chsub, "points", cmd_chaos_points,
+             help="list the named fault-injection points")
 
     calib = sub.add_parser(
         "calib", help="calibrate the analytic cost model against measured "
                       "(or synthetic) microbenchmark observations")
     casub = calib.add_subparsers(dest="calib_command", required=True)
 
-    calib_measure = casub.add_parser(
-        "measure", help="run the seeded microbenchmark schedule against a "
-                        "hidden ground-truth machine and write observation "
-                        "CSVs (comm/compute/all_to_all)")
+    calib_measure = _command(
+        casub, "measure", cmd_calib_measure,
+        help="run the seeded microbenchmark schedule against a "
+             "hidden ground-truth machine and write observation "
+             "CSVs (comm/compute/all_to_all)")
     calib_measure.add_argument("--output", type=str, required=True,
                                metavar="DIR",
                                help="observation directory to write")
@@ -722,10 +744,11 @@ def build_parser() -> argparse.ArgumentParser:
     calib_measure.add_argument("--tiny", action="store_true",
                                help="minimal schedule for CI smoke runs")
 
-    calib_fit = casub.add_parser(
-        "fit", help="fit bandwidth scales, latency intercepts, FLOPs "
-                    "efficiency and the per-token byte overhead to an "
-                    "observation directory")
+    calib_fit = _command(
+        casub, "fit", cmd_calib_fit,
+        help="fit bandwidth scales, latency intercepts, FLOPs "
+             "efficiency and the per-token byte overhead to an "
+             "observation directory")
     calib_fit.add_argument("--observations", type=str, required=True,
                            metavar="DIR")
     calib_fit.add_argument("--output", type=str, default=None,
@@ -739,9 +762,10 @@ def build_parser() -> argparse.ArgumentParser:
                            help="exit 1 when any term's R² is below R2 "
                                 "(the CI gate)")
 
-    calib_report = casub.add_parser(
-        "report", help="render the goodness-of-fit report (per-term R², "
-                       "MAPE, residuals, worst-fit links)")
+    calib_report = _command(
+        casub, "report", cmd_calib_report,
+        help="render the goodness-of-fit report (per-term R², "
+             "MAPE, residuals, worst-fit links)")
     calib_report.add_argument("--observations", type=str, required=True,
                               metavar="DIR")
     calib_report.add_argument("--robust", action="store_true")
@@ -750,10 +774,11 @@ def build_parser() -> argparse.ArgumentParser:
                               help="write the markdown report here instead "
                                    "of printing it")
 
-    calib_apply = casub.add_parser(
-        "apply", help="embed a fitted profile into an ExperimentSpec so "
-                      "studies and the serve daemon run on the calibrated "
-                      "machine")
+    calib_apply = _command(
+        casub, "apply", cmd_calib_apply,
+        help="embed a fitted profile into an ExperimentSpec so "
+             "studies and the serve daemon run on the calibrated "
+             "machine")
     calib_apply.add_argument("--profile", type=str, required=True,
                              metavar="PROFILE.json")
     calib_apply.add_argument("--spec", type=str, required=True,
@@ -762,6 +787,15 @@ def build_parser() -> argparse.ArgumentParser:
                              metavar="OUT.json",
                              help="write the calibrated spec here (default: "
                                   "print it)")
+    return parser
+
+
+def _command(subparsers: "argparse._SubParsersAction", name: str,
+             handler: Callable[[argparse.Namespace], int],
+             **kwargs: Any) -> argparse.ArgumentParser:
+    """Add sub-command ``name``; ``main`` runs ``handler(args)`` for it."""
+    parser = subparsers.add_parser(name, **kwargs)
+    parser.set_defaults(handler=handler)
     return parser
 
 
@@ -814,7 +848,7 @@ def _add_common_workload_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--layers", type=int, default=2)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--scenario", type=str, default="drifting",
-                        choices=available_scenarios(),
+                        choices=SCENARIOS.names(),
                         help="routing scenario (see 'repro scenarios')")
     parser.add_argument("--param", action="append", default=[],
                         metavar="KEY=VALUE",
@@ -893,19 +927,16 @@ def cmd_systems(_: argparse.Namespace) -> int:
 
 def cmd_scenarios(args: argparse.Namespace) -> int:
     rows = [{"scenario": name, "description": description}
-            for name, description in scenario_descriptions().items()]
+            for name, description in SCENARIOS.descriptions().items()]
     blocks = [format_table(rows, title="Registered routing scenarios")]
     if getattr(args, "verbose", False):
-        for name in available_scenarios():
-            details = registered_scenario(name).param_details()
-            if details:
-                blocks.append(format_table(
-                    details, title=f"Parameters of scenario {name!r}"))
-        for name in available_scenario_wrappers():
-            details = registered_scenario_wrapper(name).param_details()
-            if details:
-                blocks.append(format_table(
-                    details, title=f"Parameters of wrapper {name!r}"))
+        for label, registry in (("scenario", SCENARIOS),
+                                ("wrapper", SCENARIO_WRAPPERS)):
+            for name in registry.names():
+                details = registry.param_details(name)
+                if details:
+                    blocks.append(format_table(
+                        details, title=f"Parameters of {label} {name!r}"))
     print_report(*blocks)
     return 0
 
@@ -936,11 +967,6 @@ def _check_scenario_buildable(spec: ExperimentSpec) -> None:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    command = getattr(args, "trace_command", None)
-    if command == "record":
-        return cmd_trace_record(args)
-    if command == "export":
-        return cmd_trace_export(args)
     spec = _spec_or_error(args, warmup=0)
     if spec is None:
         return 2
@@ -2059,103 +2085,10 @@ def cmd_suite_search(args: argparse.Namespace) -> int:
     return 0
 
 
-SUITE_COMMANDS = {
-    "make": cmd_suite_make,
-    "ls": cmd_suite_ls,
-    "characterize": cmd_suite_characterize,
-    "report": cmd_suite_report,
-    "search": cmd_suite_search,
-}
-
-
-def cmd_suite(args: argparse.Namespace) -> int:
-    return SUITE_COMMANDS[args.suite_command](args)
-
-
-CHAOS_COMMANDS = {
-    "run": cmd_chaos_run,
-    "plans": cmd_chaos_plans,
-    "points": cmd_chaos_points,
-}
-
-
-def cmd_chaos(args: argparse.Namespace) -> int:
-    return CHAOS_COMMANDS[args.chaos_command](args)
-
-
-CALIB_COMMANDS = {
-    "measure": cmd_calib_measure,
-    "fit": cmd_calib_fit,
-    "report": cmd_calib_report,
-    "apply": cmd_calib_apply,
-}
-
-
-def cmd_calib(args: argparse.Namespace) -> int:
-    return CALIB_COMMANDS[args.calib_command](args)
-
-
-STORE_COMMANDS = {
-    "ls": cmd_store_ls,
-    "compact": cmd_store_compact,
-    "rebuild": cmd_store_rebuild,
-    "prune": cmd_store_prune,
-}
-
-
-def cmd_store(args: argparse.Namespace) -> int:
-    return STORE_COMMANDS[args.store_command](args)
-
-
-STUDY_COMMANDS = {
-    "run": cmd_study_run,
-    "ls": cmd_study_ls,
-    "diff": cmd_study_diff,
-    "report": cmd_study_report,
-    "gate": cmd_study_gate,
-}
-
-
-def cmd_study(args: argparse.Namespace) -> int:
-    return STUDY_COMMANDS[args.study_command](args)
-
-
-FLEET_COMMANDS = {
-    "run": cmd_fleet_run,
-    "status": cmd_fleet_status,
-    "workers": cmd_fleet_workers,
-    "watch": cmd_fleet_watch,
-}
-
-
-def cmd_fleet(args: argparse.Namespace) -> int:
-    return FLEET_COMMANDS[args.fleet_command](args)
-
-
-COMMANDS = {
-    "models": cmd_models,
-    "systems": cmd_systems,
-    "scenarios": cmd_scenarios,
-    "trace": cmd_trace,
-    "compare": cmd_compare,
-    "plan": cmd_plan,
-    "run": cmd_run,
-    "studies": cmd_studies,
-    "study": cmd_study,
-    "suite": cmd_suite,
-    "fleet": cmd_fleet,
-    "serve": cmd_serve,
-    "submit": cmd_submit,
-    "store": cmd_store,
-    "chaos": cmd_chaos,
-    "calib": cmd_calib,
-}
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
-    return COMMANDS[args.command](args)
+    return args.handler(args)
 
 
 if __name__ == "__main__":

@@ -194,12 +194,13 @@ class ServeApp:
 
     # -- submission -----------------------------------------------------
     def _submit_one(self, spec: ExperimentSpec, tags: Tuple[str, ...]
-                    ) -> Tuple[str, str, Optional["Future[str]"]]:
-        """Serve one spec: ``(cache, run_id, future)``.
+                    ) -> Tuple[str, str, Optional["Future[str]"], str]:
+        """Serve one spec: ``(cache, run_id, future, fingerprint)``.
 
         ``future`` is None when the answer is already in the store
         (``cache == "hit"``); otherwise it resolves to the stored run id
-        once the (possibly shared) execution lands.
+        once the (possibly shared) execution lands.  ``fingerprint`` is the
+        spec's content fingerprint, computed once per request.
         """
         fingerprint = spec_fingerprint(spec)
         run_id = self.lookup(spec, tags, fingerprint)
@@ -207,14 +208,14 @@ class ServeApp:
             with self._lock:
                 self._stats["hits"] += 1
             _M_HITS.inc()
-            return "hit", run_id, None
+            return "hit", run_id, None, fingerprint
         leading, entry = self.inflight.join_or_lead(
             fingerprint, run_id_for(spec, tags))
         if not leading:
             with self._lock:
                 self._stats["coalesced"] += 1
             _M_COALESCED.inc()
-            return "coalesced", entry.run_id, entry.future
+            return "coalesced", entry.run_id, entry.future, fingerprint
         # Leader.  Re-check the store before paying for a simulation: a
         # concurrent request may have stored this spec between our lookup
         # and winning the table entry (its resolve happens after its put,
@@ -225,7 +226,7 @@ class ServeApp:
             with self._lock:
                 self._stats["hits"] += 1
             _M_HITS.inc()
-            return "hit", run_id, None
+            return "hit", run_id, None, fingerprint
         with self._lock:
             self._stats["misses"] += 1
         _M_MISSES.inc()
@@ -236,7 +237,7 @@ class ServeApp:
             raise
         task.add_done_callback(
             lambda done, fp=fingerprint: self._on_executed(fp, done))
-        return "miss", entry.run_id, entry.future
+        return "miss", entry.run_id, entry.future, fingerprint
 
     def _on_executed(self, fingerprint: str, task: "Future") -> None:
         """Executor completion: publish to the map, then wake waiters.
@@ -283,12 +284,12 @@ class ServeApp:
         _M_REQUESTS.inc()
         started = time.time()
         full_tags = self._request_tags(tags, client)
-        cache, run_id, future = self._submit_one(spec, full_tags)
+        cache, run_id, future, fingerprint = self._submit_one(spec, full_tags)
         response: Dict[str, Any] = {
             "kind": "experiment",
             "cache": cache,
             "run_id": run_id,
-            "fingerprint": spec_fingerprint(spec),
+            "fingerprint": fingerprint,
         }
         if future is None:
             response.update(status="done", entry=self._describe(run_id),
@@ -332,7 +333,7 @@ class ServeApp:
         waiters: List[Tuple[Dict[str, Any], "Future[str]"]] = []
         counts = {"hit": 0, "coalesced": 0, "miss": 0}
         for cell in study.expand():
-            cache, run_id, future = self._submit_one(cell.spec, run_tags)
+            cache, run_id, future, _ = self._submit_one(cell.spec, run_tags)
             counts[cache] += 1
             row = {"cell_id": cell.cell_id, "cache": cache, "run_id": run_id}
             cells.append(row)

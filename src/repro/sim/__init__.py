@@ -26,7 +26,7 @@ from repro.sim.iteration import (
 from repro.sim.systems import (
     SystemSpec,
     SystemBuildContext,
-    RegisteredSystem,
+    SYSTEMS,
     make_system,
     available_systems,
     register_system,
@@ -49,7 +49,7 @@ __all__ = [
     "LayerResult",
     "SystemSpec",
     "SystemBuildContext",
-    "RegisteredSystem",
+    "SYSTEMS",
     "make_system",
     "available_systems",
     "register_system",

@@ -24,7 +24,7 @@ on exactly these entry points.
 
 from repro.study.spec import StudyAxes, StudyCell, StudySpec
 from repro.study.registry import (
-    RegisteredStudy,
+    STUDIES,
     available_studies,
     make_study,
     register_study,
@@ -48,7 +48,7 @@ __all__ = [
     "StudyAxes",
     "StudyCell",
     "StudySpec",
-    "RegisteredStudy",
+    "STUDIES",
     "available_studies",
     "make_study",
     "register_study",

@@ -45,8 +45,8 @@ from repro.workloads.scenarios import (
     FileTraceSource,
     MixtureTraceSource,
     PhaseShiftTraceSource,
-    RegisteredScenario,
-    RegisteredScenarioWrapper,
+    SCENARIOS,
+    SCENARIO_WRAPPERS,
     ScenarioContext,
     StragglerTraceSource,
     SyntheticTraceSource,
@@ -102,8 +102,8 @@ __all__ = [
     "StragglerTraceSource",
     "MixtureTraceSource",
     "ScenarioContext",
-    "RegisteredScenario",
-    "RegisteredScenarioWrapper",
+    "SCENARIOS",
+    "SCENARIO_WRAPPERS",
     "register_scenario",
     "registered_scenario",
     "unregister_scenario",
