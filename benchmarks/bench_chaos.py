@@ -16,7 +16,7 @@ harness prices that tax and the chaos plans themselves:
   outcome it graded.
 
 Records to ``BENCH_chaos.json`` at the repository root and asserts two
-floors: the disarmed hook under ``DISARMED_NS_CEILING`` ns/call, and the
+gates: the disarmed hook under ``DISARMED_NS_CEILING`` ns/call, and the
 worker-crash plan passing its own invariants with at least
 ``repro.chaos.plans.MIN_KILLED_POINTS`` distinct kill points.
 
@@ -25,21 +25,17 @@ Usage::
     python benchmarks/bench_chaos.py             # full record
     python benchmarks/bench_chaos.py --quick     # CI smoke
 
-Exits non-zero when a floor is missed (``--no-check`` to disable).
+Exits non-zero when a gate is missed.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import platform
 import shutil
-import sys
 import tempfile
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+from _harness import Gate, run
 
 from repro.chaos import (
     FaultInjector,
@@ -51,10 +47,6 @@ from repro.chaos import (
     run_chaos,
     uninstall,
 )
-
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_chaos.json"
-#: Quick (CI smoke) runs land next to, not on top of, the checked-in record.
-QUICK_RESULT_PATH = RESULT_PATH.with_name("BENCH_chaos_quick.json")
 
 #: The disarmed hook is one global load and a truthiness test; anything
 #: over a microsecond would mean the instrumentation taxes real runs.
@@ -117,54 +109,20 @@ def measure_worker_crash(quick: bool) -> dict:
     }
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--quick", action="store_true",
-                        help="smaller counts for the CI smoke step")
-    parser.add_argument("--no-check", action="store_true",
-                        help="record numbers without asserting the floors")
-    parser.add_argument("--output", type=Path, default=None)
-    args = parser.parse_args(argv)
-    output = args.output or (QUICK_RESULT_PATH if args.quick else RESULT_PATH)
-    hook_calls = 200_000 if args.quick else 1_000_000
-    retry_calls = 20_000 if args.quick else 100_000
-
-    disarmed_ns = measure_inject_disarmed(hook_calls)
-    armed_ns = measure_inject_armed_miss(hook_calls)
-    retry_ns = measure_retry_success(retry_calls)
-    crash = measure_worker_crash(args.quick)
-
-    record = {
-        "host": {"platform": platform.platform(),
-                 "python": platform.python_version()},
-        "config": {"hook_calls": hook_calls, "retry_calls": retry_calls,
-                   "quick": args.quick},
-        "inject_disarmed_ns": round(disarmed_ns, 1),
-        "inject_armed_miss_ns": round(armed_ns, 1),
-        "retry_success_ns": round(retry_ns, 1),
-        "worker_crash": crash,
-        "ceiling_ns": DISARMED_NS_CEILING,
+def measure(quick: bool):
+    hook_calls = 200_000 if quick else 1_000_000
+    retry_calls = 20_000 if quick else 100_000
+    config = {"hook_calls": hook_calls, "retry_calls": retry_calls}
+    metrics = {
+        "inject_disarmed_ns": measure_inject_disarmed(hook_calls),
+        "inject_armed_miss_ns": measure_inject_armed_miss(hook_calls),
+        "retry_success_ns": measure_retry_success(retry_calls),
+        "worker_crash": measure_worker_crash(quick),
     }
-    output.write_text(json.dumps(record, indent=2) + "\n")
-    print(f"inject disarmed {disarmed_ns:.0f} ns, armed-miss {armed_ns:.0f} "
-          f"ns, retry {retry_ns:.0f} ns; worker-crash "
-          f"{crash['killed_points']} kill point(s) in {crash['wall_s']:.1f}s "
-          f"(invariants {'ok' if crash['invariants_ok'] else 'VIOLATED'}) "
-          f"-> {output}")
-
-    failed = False
-    if not args.no_check:
-        if disarmed_ns > DISARMED_NS_CEILING:
-            print(f"FAIL: disarmed inject() costs {disarmed_ns:.0f} ns/call, "
-                  f"over the {DISARMED_NS_CEILING:.0f} ns ceiling",
-                  file=sys.stderr)
-            failed = True
-        if not crash["ok"]:
-            print("FAIL: worker-crash plan did not pass its invariants",
-                  file=sys.stderr)
-            failed = True
-    return 1 if failed else 0
+    return config, metrics, [
+        Gate("inject_disarmed_ns", "<=", DISARMED_NS_CEILING),
+        Gate("worker_crash.ok", "==", True)]
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run("chaos", measure))

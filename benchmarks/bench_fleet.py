@@ -2,7 +2,7 @@
 
 Runs the same >= 8-cell study twice into fresh stores -- once through the
 in-process :class:`repro.study.StudyRunner` forced sequential, once through
-:func:`repro.fleet.launch_fleet` with ``--workers`` worker processes -- and
+:func:`repro.fleet.launch_fleet` with ``WORKERS`` worker processes -- and
 records both wall-clocks plus the speedup to ``BENCH_fleet.json`` at the
 repository root.  The two stores must agree run-for-run (same content-hashed
 run ids, identical stored metrics), which the harness asserts: the fleet is
@@ -17,42 +17,28 @@ Usage::
     python benchmarks/bench_fleet.py             # 8 cells, 2 workers
     python benchmarks/bench_fleet.py --quick     # CI smoke (4 cells)
 
-Exits non-zero when the fleet loses on a capable host (``--no-check`` to
-disable).
+Exits non-zero when the stores disagree, or when the fleet loses on a
+capable host.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
 import shutil
-import sys
 import tempfile
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+from _harness import Gate, host, run
 
 from repro.api.specs import ClusterSpec, ExperimentSpec, WorkloadSpec
 from repro.fleet import launch_fleet
 from repro.store import ResultStore
 from repro.study import StudyAxes, StudyRunner, StudySpec
 
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_fleet.json"
-#: Quick (CI smoke) runs land next to, not on top of, the checked-in record.
-QUICK_RESULT_PATH = RESULT_PATH.with_name("BENCH_fleet_quick.json")
-
 #: Below this many usable CPUs the wall-clock floor is informational only.
 MIN_CPUS_FOR_FLOOR = 4
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):
-        return os.cpu_count() or 1
+#: Worker processes in the fleet arm.
+WORKERS = 2
 
 
 def fleet_study(quick: bool) -> StudySpec:
@@ -108,54 +94,28 @@ def stores_agree(root_a: Path, root_b: Path) -> bool:
     return True
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--quick", action="store_true",
-                        help="smaller grid for the CI smoke step")
-    parser.add_argument("--workers", type=int, default=2)
-    parser.add_argument("--no-check", action="store_true",
-                        help="record numbers without asserting the floor")
-    parser.add_argument("--output", type=Path, default=None)
-    args = parser.parse_args(argv)
-    output = args.output or (QUICK_RESULT_PATH if args.quick else RESULT_PATH)
-
-    study = fleet_study(args.quick)
-    cpus = _usable_cpus()
+def measure(quick: bool):
+    study = fleet_study(quick)
     workdir = Path(tempfile.mkdtemp(prefix="bench-fleet-"))
     try:
         sequential_s = run_sequential(study, workdir / "sequential")
-        fleet_s = run_fleet(study, workdir / "fleet", args.workers)
+        fleet_s = run_fleet(study, workdir / "fleet", WORKERS)
         agree = stores_agree(workdir / "sequential", workdir / "fleet")
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
-    speedup = sequential_s / fleet_s if fleet_s > 0 else float("inf")
-    record = {
-        "host": {"platform": platform.platform(), "python":
-                 platform.python_version(), "usable_cpus": cpus},
-        "config": {"cells": study.num_cells, "workers": args.workers,
-                   "quick": args.quick},
-        "sequential_s": round(sequential_s, 4),
-        "fleet_s": round(fleet_s, 4),
-        "speedup": round(speedup, 3),
+    config = {"cells": study.num_cells, "workers": WORKERS}
+    metrics = {
+        "sequential_s": sequential_s,
+        "fleet_s": fleet_s,
+        "speedup": sequential_s / fleet_s if fleet_s > 0 else float("inf"),
         "stores_agree": agree,
-        "floor_asserted": cpus >= MIN_CPUS_FOR_FLOOR and not args.no_check,
     }
-    output.write_text(json.dumps(record, indent=2) + "\n")
-    print(f"{study.num_cells} cells: sequential {sequential_s:.2f}s, "
-          f"{args.workers}-worker fleet {fleet_s:.2f}s "
-          f"({speedup:.2f}x, {cpus} CPUs) -> {output}")
-
-    failed = False
-    if not agree:
-        print("FAIL: fleet and sequential stores disagree", file=sys.stderr)
-        failed = True
-    if not args.no_check and cpus >= MIN_CPUS_FOR_FLOOR and speedup <= 1.0:
-        print(f"FAIL: fleet ({fleet_s:.2f}s) did not beat sequential "
-              f"({sequential_s:.2f}s) on a {cpus}-CPU host", file=sys.stderr)
-        failed = True
-    return 1 if failed else 0
+    capable = host()["usable_cpus"] >= MIN_CPUS_FOR_FLOOR
+    return config, metrics, [
+        Gate("stores_agree", "==", True),
+        Gate("speedup", ">", 1.0, asserted=capable)]
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run("fleet", measure))

@@ -5,17 +5,15 @@ streaming scenario source, executed sequentially and then in parallel worker
 processes, and records the wall-clocks to ``BENCH_scenarios.json`` at the
 repository root -- the baseline for tracking the comparison engine's
 throughput across PRs.  The parallel path must reproduce the sequential
-numbers exactly (each system consumes its own deterministic source fork);
-the speedup itself depends on the host's core count, so it is recorded but
-not asserted.
+numbers exactly (each system consumes its own deterministic source fork),
+graded as the record's one gate; the speedup itself depends on the host's
+core count, so it is recorded but not asserted.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 
 from repro.analysis.reporting import format_table, print_report
 from repro.sim.engine import compare_systems_detailed
@@ -23,9 +21,8 @@ from repro.sim.systems import make_system
 from repro.workloads.model_configs import get_model_config
 from repro.workloads.scenarios import ScenarioContext, make_scenario
 
+from _harness import Gate, failed_gates, write_record
 from conftest import BENCH_WARMUP, TOKENS_PER_DEVICE
-
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_scenarios.json"
 
 #: All eight systems of the paper's comparison (baselines + LAER + oracle).
 SYSTEMS = ("megatron", "fsdp_ep", "fastermoe", "smartmoe", "prophet",
@@ -65,34 +62,31 @@ def test_bench_scenarios_sequential_vs_parallel(benchmark, paper_cluster):
         _timed_compare, args=(paper_cluster, False), rounds=1, iterations=1)
     parallel_s, parallel, parallel_mode = _timed_compare(paper_cluster, True)
 
-    # Parallel execution must not change a single reported number.
-    assert parallel == sequential
-
-    record = {
-        "scenario": SCENARIO,
-        "systems": list(SYSTEMS),
-        "iterations": ITERATIONS,
-        "warmup": BENCH_WARMUP,
-        "num_devices": paper_cluster.num_devices,
-        "cpu_count": os.cpu_count(),
-        "sequential_s": round(sequential_s, 3),
-        "parallel_s": round(parallel_s, 3),
-        "parallel_speedup": round(sequential_s / parallel_s, 3),
+    config = {"scenario": SCENARIO, "systems": list(SYSTEMS),
+              "iterations": ITERATIONS, "warmup": BENCH_WARMUP,
+              "num_devices": paper_cluster.num_devices}
+    metrics = {
+        "sequential_s": sequential_s,
+        "parallel_s": parallel_s,
+        "parallel_speedup": sequential_s / parallel_s,
         # On small hosts the engine demotes the parallel request
         # (sequential-auto), in which case the "parallel" wall-clock above
         # is really a second sequential run -- record what actually ran.
         "parallel_mode": parallel_mode,
+        # Parallel execution must not change a single reported number.
+        "parallel_equals_sequential": parallel == sequential,
     }
-    RESULT_PATH.write_text(json.dumps(record, indent=2) + "\n")
+    record = write_record("scenarios", False, config, metrics, [
+        Gate("parallel_equals_sequential", "==", True)])
+    assert not failed_gates(record)
 
-    rows = [{"mode": "sequential", "wall_clock_s": record["sequential_s"]},
-            {"mode": "parallel", "wall_clock_s": record["parallel_s"]}]
+    rows = [{"mode": "sequential", "wall_clock_s": sequential_s},
+            {"mode": "parallel", "wall_clock_s": parallel_s}]
     print_report(
         format_table(rows, title=f"8-system comparison wall-clock "
                                  f"({SCENARIO}, {os.cpu_count()} CPUs)"),
-        f"Recorded to {RESULT_PATH.name} "
-        f"(parallel speedup {record['parallel_speedup']}x, "
-        f"mode {parallel_mode})")
+        f"parallel speedup {metrics['parallel_speedup']:.3f}x, "
+        f"mode {parallel_mode}")
 
     # Sanity: the comparison itself produced meaningful results.
     assert all(value > 0 for value in sequential.values())

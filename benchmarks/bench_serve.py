@@ -21,29 +21,21 @@ Usage::
     python benchmarks/bench_serve.py             # full record
     python benchmarks/bench_serve.py --quick     # CI smoke
 
-Exits non-zero when a floor is missed (``--no-check`` to disable).
+Exits non-zero when a gate is missed.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import platform
 import shutil
-import sys
 import tempfile
 import threading
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+from _harness import Gate, run
 
 from repro.api.specs import ClusterSpec, ExperimentSpec, WorkloadSpec
 from repro.serve import ReproServer, ServeClient
-
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_serve.json"
-#: Quick (CI smoke) runs land next to, not on top of, the checked-in record.
-QUICK_RESULT_PATH = RESULT_PATH.with_name("BENCH_serve_quick.json")
 
 #: The serving tier's reason to exist: answering from the cache must beat
 #: re-simulating by at least this factor.
@@ -121,63 +113,35 @@ def measure_coalescing(address: str, quick: bool, threads: int) -> dict:
     }
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--quick", action="store_true",
-                        help="smaller counts for the CI smoke step")
-    parser.add_argument("--no-check", action="store_true",
-                        help="record numbers without asserting the floors")
-    parser.add_argument("--output", type=Path, default=None)
-    args = parser.parse_args(argv)
-    output = args.output or (QUICK_RESULT_PATH if args.quick else RESULT_PATH)
-    cold_count = 2 if args.quick else 4
-    hot_count = 100 if args.quick else 500
-    threads = 4 if args.quick else 8
+def measure(quick: bool):
+    cold_count = 2 if quick else 4
+    hot_count = 100 if quick else 500
+    threads = 4 if quick else 8
 
     workdir = Path(tempfile.mkdtemp(prefix="bench-serve-"))
     try:
         with ReproServer(workdir / "store", port=0) as server:
             client = ServeClient(server.address, client="bench")
             client.wait_ready()
-            cold_rps = measure_cold(client, args.quick, cold_count)
-            hot_rps = measure_hot(client, args.quick, hot_count)
-            coalescing = measure_coalescing(server.address, args.quick,
-                                            threads)
+            cold_rps = measure_cold(client, quick, cold_count)
+            hot_rps = measure_hot(client, quick, hot_count)
+            coalescing = measure_coalescing(server.address, quick, threads)
             client.close()
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
-    ratio = hot_rps / cold_rps if cold_rps > 0 else float("inf")
-    record = {
-        "host": {"platform": platform.platform(),
-                 "python": platform.python_version()},
-        "config": {"cold_requests": cold_count, "hot_requests": hot_count,
-                   "quick": args.quick},
-        "cold_rps": round(cold_rps, 3),
-        "hot_rps": round(hot_rps, 1),
-        "hot_over_cold": round(ratio, 1),
-        "hot_latency_ms": round(1000.0 / hot_rps, 3) if hot_rps else None,
+    config = {"cold_requests": cold_count, "hot_requests": hot_count}
+    metrics = {
+        "cold_rps": cold_rps,
+        "hot_rps": hot_rps,
+        "hot_over_cold": hot_rps / cold_rps if cold_rps > 0 else float("inf"),
+        "hot_latency_ms": 1000.0 / hot_rps if hot_rps else None,
         "coalescing": coalescing,
-        "floor": HOT_OVER_COLD_FLOOR,
     }
-    output.write_text(json.dumps(record, indent=2) + "\n")
-    print(f"cold {cold_rps:.2f} req/s, hot {hot_rps:.0f} req/s "
-          f"({ratio:.0f}x), coalescing {coalescing['threads']} requests -> "
-          f"{coalescing['executions']} execution(s) -> {output}")
-
-    failed = False
-    if not args.no_check:
-        if ratio < HOT_OVER_COLD_FLOOR:
-            print(f"FAIL: hot/cold ratio {ratio:.1f} under the "
-                  f"{HOT_OVER_COLD_FLOOR}x floor", file=sys.stderr)
-            failed = True
-        if coalescing["executions"] != 1:
-            print(f"FAIL: {coalescing['threads']} identical concurrent "
-                  f"submissions caused {coalescing['executions']} "
-                  f"executions (expected 1)", file=sys.stderr)
-            failed = True
-    return 1 if failed else 0
+    return config, metrics, [
+        Gate("hot_over_cold", ">=", HOT_OVER_COLD_FLOOR),
+        Gate("coalescing.executions", "==", 1)]
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run("serve", measure))

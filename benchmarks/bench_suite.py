@@ -20,43 +20,28 @@ Usage::
     python benchmarks/bench_suite.py             # full record
     python benchmarks/bench_suite.py --quick     # CI smoke
 
-Exits non-zero when the floor is missed (``--no-check`` to disable).
+Exits non-zero when the floor is missed.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import platform
-import sys
 import tempfile
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+from _harness import Gate, run
 
 from repro.api.specs import ClusterSpec
 from repro.store import ResultStore
 from repro.suite import adversarial_search, characterize_suite, default_suite
 
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_suite.json"
-#: Quick (CI smoke) runs land next to, not on top of, the checked-in record.
-QUICK_RESULT_PATH = RESULT_PATH.with_name("BENCH_suite_quick.json")
-
 #: A fully cached search rerun must beat the cold search by this factor.
 RESUME_SPEEDUP_FLOOR = 3.0
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="small budget, separate result file (CI smoke)")
-    parser.add_argument("--no-check", action="store_true",
-                        help="record without asserting the resume floor")
-    args = parser.parse_args()
-
+def measure(quick: bool):
     suite = default_suite()
-    budget = 10 if args.quick else 24
+    budget = 10 if quick else 24
     cluster = ClusterSpec(num_nodes=1, devices_per_node=8)
 
     start = time.perf_counter()
@@ -76,32 +61,19 @@ def main() -> int:
 
     assert cold.simulated == budget and resumed.simulated == 0
     assert resumed.winner.run_id == cold.winner.run_id
-    speedup = cold_s / max(resume_s, 1e-9)
 
-    record = {
-        "suite_id": suite.suite_id,
-        "budget": budget,
-        "characterize_members_per_s": round(
-            len(characterization.profiles) / characterize_s, 2),
-        "search_cold_evals_per_s": round(budget / cold_s, 2),
-        "search_resume_evals_per_s": round(budget / resume_s, 2),
-        "resume_speedup": round(speedup, 2),
-        "winner_regret": round(cold.winner.regret, 4),
-        "quick": args.quick,
-        "platform": platform.platform(),
-        "python": platform.python_version(),
+    config = {"suite_id": suite.suite_id, "budget": budget}
+    metrics = {
+        "characterize_members_per_s":
+            len(characterization.profiles) / characterize_s,
+        "search_cold_evals_per_s": budget / cold_s,
+        "search_resume_evals_per_s": budget / resume_s,
+        "resume_speedup": cold_s / max(resume_s, 1e-9),
+        "winner_regret": cold.winner.regret,
     }
-    path = QUICK_RESULT_PATH if args.quick else RESULT_PATH
-    path.write_text(json.dumps(record, indent=2) + "\n")
-    print(json.dumps(record, indent=2))
-    print(f"recorded to {path}")
-
-    if not args.no_check and speedup < RESUME_SPEEDUP_FLOOR:
-        print(f"FAIL: resume speedup {speedup:.2f}x below the "
-              f"{RESUME_SPEEDUP_FLOOR}x floor", file=sys.stderr)
-        return 1
-    return 0
+    return config, metrics, [
+        Gate("resume_speedup", ">=", RESUME_SPEEDUP_FLOOR)]
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    raise SystemExit(run("suite", measure))

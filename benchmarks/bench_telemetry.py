@@ -16,38 +16,30 @@ is armed.  This harness prices that tax and the armed paths:
   text (the ``GET /metrics`` response cost).
 
 Records to ``BENCH_telemetry.json`` at the repository root and asserts
-one floor: the disabled span under ``DISABLED_NS_CEILING`` ns/call.
+one gate: the disabled span under ``DISABLED_NS_CEILING`` ns/call.
 
 Usage::
 
     python benchmarks/bench_telemetry.py             # full record
     python benchmarks/bench_telemetry.py --quick     # CI smoke
 
-Exits non-zero when the floor is missed (``--no-check`` to disable).
+Exits non-zero when the gate is missed.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import platform
 import shutil
-import sys
 import tempfile
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+from _harness import Gate, run
 
 import repro.cli  # noqa: F401  (imports every instrumented subsystem, so
 #                                the registry holds the full series
 #                                catalogue the render measurement prices)
 from repro.telemetry.metrics import REGISTRY, Counter, Histogram
 from repro.telemetry.trace import Tracer, install, span, uninstall
-
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_telemetry.json"
-#: Quick (CI smoke) runs land next to, not on top of, the checked-in record.
-QUICK_RESULT_PATH = RESULT_PATH.with_name("BENCH_telemetry_quick.json")
 
 #: The disabled hook is one global load plus a no-op context manager;
 #: anything over ~2 microseconds would tax the simulator's inner loop.
@@ -110,53 +102,23 @@ def measure_render(repeats: int) -> float:
     return elapsed * 1e3 / repeats
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--quick", action="store_true",
-                        help="smaller counts for the CI smoke step")
-    parser.add_argument("--no-check", action="store_true",
-                        help="record numbers without asserting the floor")
-    parser.add_argument("--output", type=Path, default=None)
-    args = parser.parse_args(argv)
-    output = args.output or (QUICK_RESULT_PATH if args.quick else RESULT_PATH)
-    hook_calls = 200_000 if args.quick else 1_000_000
-    traced_calls = 20_000 if args.quick else 100_000
-    render_repeats = 200 if args.quick else 1_000
-
-    disabled_ns = measure_span_disabled(hook_calls)
-    enabled_ns = measure_span_enabled(traced_calls)
-    counter_ns = measure_counter_inc(hook_calls)
-    observe_ns = measure_histogram_observe(traced_calls)
-    render_ms = measure_render(render_repeats)
-
-    record = {
-        "host": {"platform": platform.platform(),
-                 "python": platform.python_version()},
-        "config": {"hook_calls": hook_calls, "traced_calls": traced_calls,
-                   "render_repeats": render_repeats, "quick": args.quick},
-        "span_disabled_ns": round(disabled_ns, 1),
-        "span_enabled_ns": round(enabled_ns, 1),
-        "counter_inc_ns": round(counter_ns, 1),
-        "histogram_observe_ns": round(observe_ns, 1),
-        "render_prometheus_ms": round(render_ms, 3),
+def measure(quick: bool):
+    hook_calls = 200_000 if quick else 1_000_000
+    traced_calls = 20_000 if quick else 100_000
+    render_repeats = 200 if quick else 1_000
+    config = {"hook_calls": hook_calls, "traced_calls": traced_calls,
+              "render_repeats": render_repeats}
+    metrics = {
+        "span_disabled_ns": measure_span_disabled(hook_calls),
+        "span_enabled_ns": measure_span_enabled(traced_calls),
+        "counter_inc_ns": measure_counter_inc(hook_calls),
+        "histogram_observe_ns": measure_histogram_observe(traced_calls),
+        "render_prometheus_ms": measure_render(render_repeats),
         "registered_series": len(REGISTRY.names()),
-        "ceiling_ns": DISABLED_NS_CEILING,
     }
-    output.write_text(json.dumps(record, indent=2) + "\n")
-    print(f"span disabled {disabled_ns:.0f} ns, enabled {enabled_ns:.0f} ns; "
-          f"counter {counter_ns:.0f} ns, observe {observe_ns:.0f} ns; "
-          f"render {render_ms:.2f} ms over {record['registered_series']} "
-          f"metric(s) -> {output}")
-
-    failed = False
-    if not args.no_check:
-        if disabled_ns > DISABLED_NS_CEILING:
-            print(f"FAIL: disabled span() costs {disabled_ns:.0f} ns/call, "
-                  f"over the {DISABLED_NS_CEILING:.0f} ns ceiling",
-                  file=sys.stderr)
-            failed = True
-    return 1 if failed else 0
+    return config, metrics, [
+        Gate("span_disabled_ns", "<=", DISABLED_NS_CEILING)]
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run("telemetry", measure))

@@ -194,8 +194,6 @@ class WorkQueue:
         return self.failed_dir / f"{key}.json"
 
     # -- small file helpers ---------------------------------------------
-    _atomic_write_json = staticmethod(atomic_write_json)
-
     @staticmethod
     def _read_json(path: Path) -> Optional[Dict[str, Any]]:
         try:
@@ -227,7 +225,7 @@ class WorkQueue:
             payload = cell.to_dict()
             if self._read_json(self.cell_path(cell.key)) == payload:
                 continue
-            self._atomic_write_json(self.cell_path(cell.key), payload)
+            atomic_write_json(self.cell_path(cell.key), payload)
             added += 1
         return added
 
@@ -441,7 +439,7 @@ class WorkQueue:
         early).
         """
         inject("queue.pre-outcome", key=key, worker=worker)
-        self._atomic_write_json(self.done_path(key), {
+        atomic_write_json(self.done_path(key), {
             "key": key, "worker": worker, "run_id": run_id,
             "seconds": float(seconds), "finished_at": time.time()})
         inject("queue.post-outcome", key=key, worker=worker)
@@ -467,7 +465,7 @@ class WorkQueue:
             self.release(key, worker)
             return
         inject("queue.pre-outcome", key=key, worker=worker)
-        self._atomic_write_json(self.failed_path(key), {
+        atomic_write_json(self.failed_path(key), {
             "key": key, "worker": worker, "kind": kind, "error": str(error),
             "finished_at": time.time()})
         inject("queue.post-outcome", key=key, worker=worker)

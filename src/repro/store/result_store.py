@@ -560,11 +560,6 @@ class ResultStore:
                 fcntl.flock(fd, fcntl.LOCK_UN)
             os.close(fd)
 
-    # -- atomic writes --------------------------------------------------
-    @staticmethod
-    def _atomic_write_json(path: Path, payload: Mapping[str, Any]) -> None:
-        atomic_write_json(path, payload)
-
     # -- journal --------------------------------------------------------
     def _append_journal(self, record: Mapping[str, Any]) -> None:
         """Append one fsync'd JSON line to the index journal.
@@ -765,7 +760,7 @@ class ResultStore:
             result=result,
         )
         inject("store.pre-run-file", run_id=run.run_id)
-        self._atomic_write_json(self.run_path(run.run_id), run.to_dict())
+        atomic_write_json(self.run_path(run.run_id), run.to_dict())
         # Chaos point: the run file is durable but unjournaled -- a crash
         # here must be repaired by rebuild_index (file wins over journal); a
         # corrupt-file fault here truncates the envelope, which quarantine
@@ -888,7 +883,7 @@ class ResultStore:
         # rebuild over the same runs produce byte-identical files (which is
         # how the fleet stress tests assert post-run consistency).
         runs = {run_id: dict(index[run_id]) for run_id in sorted(index)}
-        self._atomic_write_json(self.index_path,
+        atomic_write_json(self.index_path,
                                 {"format": STORE_FORMAT, "runs": runs})
 
     def _read_index_file(self) -> Tuple[Dict[str, Dict[str, Any]], bool]:

@@ -15,6 +15,7 @@ from repro.api import (
 )
 from repro.store import (
     ResultStore,
+    atomic_write_json,
     diff_results,
     run_id_for,
     spec_fingerprint,
@@ -147,11 +148,10 @@ class TestAtomicity:
         assert store.get(run.run_id).created_at == 1.0
 
     def test_unserializable_payload_never_touches_target(self, tmp_path):
-        store = ResultStore(tmp_path)
-        path = store.root / "x.json"
-        store._atomic_write_json(path, {"ok": 1})
+        path = tmp_path / "x.json"
+        atomic_write_json(path, {"ok": 1})
         with pytest.raises(TypeError):
-            store._atomic_write_json(path, {"bad": object()})
+            atomic_write_json(path, {"bad": object()})
         assert json.loads(path.read_text()) == {"ok": 1}
 
 
