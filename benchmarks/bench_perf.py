@@ -23,6 +23,11 @@ where Python loop overhead rather than the argsort kernel dominates).  The
 batched results must be *bit-identical* to the ``repro.scalar_reference``
 oracles (``scalar_lite_route`` + ``scalar_evaluate``).
 
+``lite_route_batch`` records the absolute seconds of one node-blocked
+``lite_route_batch`` call at Fig. 11's largest shape (N=1024, C=8, the
+tuner's default candidate layouts), after asserting it equals the stacked
+``scalar_lite_route`` calls; its ceiling is recorded but not asserted.
+
 Usage::
 
     python benchmarks/bench_perf.py            # full config, asserts floors
@@ -84,6 +89,13 @@ TUNER_BATCH_FLOOR = 2.0
 TUNER_NUM_NODES = 2
 TUNER_DEVICES_PER_NODE = 4
 TUNER_CANDIDATES = 16
+
+#: Fig. 11's largest planner shape for the absolute-seconds
+#: ``lite_route_batch`` row (the tuner's default candidates), and its
+#: unasserted ceiling.
+BATCH_NUM_DEVICES = 1024
+BATCH_CAPACITY = 8
+BATCH_CEILING_S = 0.1
 
 
 # ----------------------------------------------------------------------
@@ -178,6 +190,36 @@ def bench_lite_route(topology: ClusterTopology, repeats: int) -> dict:
         lambda: scalar_lite_route(routing, layout, topology), repeats)
     return {"n": n, "scalar_s": scalar_s, "vectorized_s": vectorized_s,
             "speedup": scalar_s / vectorized_s}
+
+
+def bench_lite_route_batch(repeats: int) -> dict:
+    """Absolute seconds of one tuner-sized ``lite_route_batch`` call at
+    Fig. 11's largest shape, against the stacked scalar oracle."""
+    topology = ClusterTopology.homogeneous(BATCH_NUM_DEVICES, DEVICES_PER_NODE)
+    model_config = get_model_config("mixtral-8x7b-e8k2")
+    tuner = ExpertLayoutTuner(
+        topology, MoECostModel.from_model_config(model_config, topology),
+        capacity=BATCH_CAPACITY)
+    num_experts = model_config.num_experts
+    routing = np.random.default_rng(29).integers(
+        0, 2 * TOKENS_PER_DEVICE // num_experts,
+        size=(BATCH_NUM_DEVICES, num_experts))
+    loads = routing.sum(axis=0)
+    layouts = [relocate_experts(replicas, loads, topology, BATCH_CAPACITY)
+               for replicas in tuner.candidate_replica_schemes(
+                   loads, num_experts)]
+    assert np.array_equal(
+        lite_route_batch(routing, layouts, topology),
+        stacked_scalar_lite_route(routing, layouts, topology)), \
+        "node-blocked lite_route_batch diverged from the scalar reference"
+    batched_s = best_of(
+        lambda: lite_route_batch(routing, layouts, topology), repeats * 5)
+    scalar_s = best_of(
+        lambda: stacked_scalar_lite_route(routing, layouts, topology),
+        repeats)
+    return {"n": BATCH_NUM_DEVICES, "capacity": BATCH_CAPACITY,
+            "candidates": len(layouts), "scalar_s": scalar_s,
+            "batched_s": batched_s, "speedup": scalar_s / batched_s}
 
 
 def bench_end_to_end(iterations: int) -> dict:
@@ -276,12 +318,15 @@ def measure(quick: bool):
         "trace_generation": bench_trace_generation(iterations, repeats),
         "lite_route": bench_lite_route(topology, repeats),
         "tuner_batch_eval": bench_tuner_batch_eval(quick),
+        "lite_route_batch": bench_lite_route_batch(repeats),
         "run_experiment": bench_end_to_end(iterations),
     }
     return config, metrics, [
         Gate("run_experiment.speedup", ">=", END_TO_END_FLOOR),
         Gate("all_to_all.speedup", ">=", ALL_TO_ALL_FLOOR),
-        Gate("tuner_batch_eval.speedup", ">=", TUNER_BATCH_FLOOR)]
+        Gate("tuner_batch_eval.speedup", ">=", TUNER_BATCH_FLOOR),
+        Gate("lite_route_batch.batched_s", "<=", BATCH_CEILING_S,
+             asserted=False)]
 
 
 if __name__ == "__main__":

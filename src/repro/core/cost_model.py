@@ -135,7 +135,7 @@ class MoECostModel:
         Returns:
             ``[CostBreakdown, ...]`` in candidate order.
         """
-        plans = np.asarray(routing_plans, dtype=np.float64)
+        plans = np.asarray(routing_plans)
         n = self.topology.num_devices
         if plans.ndim != 4 or plans.shape[1] != n or plans.shape[3] != n:
             raise ValueError(
@@ -143,24 +143,29 @@ class MoECostModel:
                 f"got {plans.shape}")
         if np.any(plans < 0):
             raise ValueError("routing plan entries must be non-negative")
-        # Token counts are integers stored as float64, so these sums are
-        # exact regardless of reduction order.
-        pairwise = plans.sum(axis=2)            # (M, N, N)
-        tokens = plans.sum(axis=(1, 2))         # (M, N)
+        # Token counts are integers, so these sums are exact in any order:
+        # summing (int64) plans before the float64 cast, and tokens from the
+        # pairwise sums, avoids copying or re-reading the whole plan.
+        pairwise = plans.sum(axis=2)                             # (M, N, N)
+        tokens = pairwise.sum(axis=1).astype(np.float64)         # (M, N)
+        max_tokens = tokens.max(axis=1)                          # (M,)
+        # Elementwise, so each weighted[m] is the same contiguous array the
+        # single-plan arithmetic sums.
+        weighted = pairwise.astype(np.float64)                   # (M, N, N)
+        weighted *= self._inv_bw
         forward_factor = 3.0 + (1.0 if self.activation_checkpointing else 0.0)
         results = []
         for m in range(plans.shape[0]):
-            seconds = float(np.sum(pairwise[m] * self._inv_bw))
+            seconds = float(weighted[m].sum())
             comm = self.num_all_to_all * self.comm_bytes_per_token * seconds
-            device_tokens = tokens[m]
-            comp = float(forward_factor * device_tokens.max()
+            comp = float(forward_factor * max_tokens[m]
                          * self.compute_flops_per_token / self.device_flops)
             results.append(CostBreakdown(
                 total=comm + comp,
                 comm_time=comm,
                 comp_time=comp,
-                tokens_per_device=device_tokens,
-                max_tokens=int(device_tokens.max()),
+                tokens_per_device=tokens[m],
+                max_tokens=int(max_tokens[m]),
             ))
         return results
 
@@ -197,7 +202,7 @@ class MoECostModel:
 
     # ------------------------------------------------------------------
     def _check_plan(self, routing_plan: np.ndarray) -> np.ndarray:
-        plan = np.asarray(routing_plan, dtype=np.float64)
+        plan = np.asarray(routing_plan)
         n = self.topology.num_devices
         if plan.ndim != 3 or plan.shape[0] != n or plan.shape[2] != n:
             raise ValueError(

@@ -16,6 +16,12 @@ All-to-All dispatcher and the iteration simulator.
 :func:`lite_route` -- the dispatcher's call for the layout actually in use --
 is a batch of one.  The per-rank, per-expert loop it replaced lives on as the
 oracle ``repro.scalar_reference.scalar_lite_route``.
+
+Nodes are contiguous blocks of ``devices_per_node`` (``D``) ranks, so almost
+every row only splits over its own node's ``D`` devices: the kernel splits
+those rows over ``D`` columns, not all ``N``, and writes them into the
+node-diagonal blocks of the plan.  Only rows whose node lacks the expert
+split across the cluster, over that expert's hosting devices.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from repro.core.layout import ExpertLayout
 
 
 def _split_evenly_batched(totals: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`_split_evenly`: split ``totals[m]`` along ``weights[m]``.
+    """Split each ``totals[m]`` integer tokens proportionally to ``weights[m]``.
 
     Args:
         totals: ``(M,)`` non-negative token counts.
@@ -36,10 +42,11 @@ def _split_evenly_batched(totals: np.ndarray, weights: np.ndarray) -> np.ndarray
             yield all zeros and their weights are ignored).
 
     Returns:
-        ``(M, K)`` int64 splits, each row exactly equal to
-        ``_split_evenly(totals[m], weights[m])``: floor of the proportional
-        share first, leftovers to the largest fractional shares with ties
-        broken by index.
+        ``(M, K)`` int64 splits, each row exactly equal to the single-row
+        oracle ``repro.scalar_reference.scalar_split_evenly``: floor of the
+        proportional share first, leftovers to the largest fractional shares
+        with ties broken by index.  The split is deterministic, so all
+        devices running the algorithm independently agree on the result.
     """
     totals = np.asarray(totals, dtype=np.int64)
     weights = np.asarray(weights, dtype=np.float64)
@@ -64,22 +71,6 @@ def _split_evenly_batched(totals: np.ndarray, weights: np.ndarray) -> np.ndarray
     return base
 
 
-def _split_evenly(total: int, weights: np.ndarray) -> np.ndarray:
-    """Split ``total`` integer tokens proportionally to ``weights``.
-
-    The split is deterministic: the integer floor of the proportional share is
-    assigned first and the remaining tokens are handed out one-by-one in index
-    order, so tests (and all devices running the algorithm independently)
-    agree on the result.
-    """
-    weights = np.atleast_2d(np.asarray(weights, dtype=np.float64))
-    if total < 0:
-        raise ValueError("total must be non-negative")
-    if weights.sum() <= 0:
-        raise ValueError("weights must sum to a positive value")
-    return _split_evenly_batched(np.asarray([total]), weights)[0]
-
-
 def lite_route(routing: np.ndarray, layout: ExpertLayout,
                topology: ClusterTopology) -> np.ndarray:
     """Route ``(N, E)`` routing ``R`` under one layout: the ``(N, E, N)``
@@ -94,8 +85,18 @@ def lite_route_batch(routing: np.ndarray, layouts: "list[ExpertLayout]",
 
     The layout tuner scores every candidate layout on the *same* routing
     matrix; since :func:`_split_evenly_batched` is purely row-wise, the
-    ``(candidate, sender, expert)`` rows of all candidates stack into a
-    single call, and ``plans[m]`` does not depend on the other candidates.
+    ``(candidate, sender, expert)`` rows of all candidates stack into one
+    call, and ``plans[m]`` does not depend on the other candidates.
+
+    The kernel is node-blocked and loop-free.  Replicas are viewed as
+    ``(M, G, E, D)`` node blocks; every row whose node hosts the expert is
+    split over that node's ``D`` devices in one call and written into the
+    node-diagonal blocks of the ``(M, G, D, E, G, D)`` plan view.  Only the
+    rows whose node lacks the expert take a second call, over the ``K``
+    devices across the cluster that host their expert.  Dropping
+    zero-weight columns changes no split (they never receive a leftover
+    token) and both calls keep the column order, so ties break by device
+    index and the plans equal ``scalar_lite_route`` exactly.
 
     Args:
         routing: ``(N, E)`` routing matrix ``R`` shared by all candidates.
@@ -122,31 +123,43 @@ def lite_route_batch(routing: np.ndarray, layouts: "list[ExpertLayout]",
         raise ValueError("topology size does not match the layouts")
     if np.any(routing < 0):
         raise ValueError("token counts must be non-negative")
-    m = len(layouts)
+    m, g, d = len(layouts), topology.num_nodes, topology.devices_per_node
     replica = np.stack([layout.assignment.T for layout in layouts]
                        ).astype(np.float64)                      # (M, E, N)
-    plans = np.zeros((m, n, num_experts, n), dtype=np.int64)
-    for node in range(topology.num_nodes):
-        ranks = np.asarray(topology.devices_on_node(node))
-        node_routing = routing[ranks]                            # (R, E)
-        # Per-candidate node target weights, shared by every sender on the
-        # node: intra-node replicas when the node hosts any (keeping traffic
-        # on NVLink), global replicas otherwise.
-        intra = np.zeros_like(replica)
-        intra[:, :, ranks] = replica[:, :, ranks]
-        has_intra = intra.sum(axis=2) > 0                        # (M, E)
-        weights = np.where(has_intra[:, :, None], intra, replica)
-        missing = (node_routing.sum(axis=0) > 0) & (weights.sum(axis=2) <= 0)
-        if missing.any():
-            expert = int(np.argmax(missing.any(axis=0)))
-            raise ValueError(f"expert {expert} has no replica in the layout")
-        # One row per (candidate, sender, expert).  ndarray.repeat, not
-        # np.tile/np.broadcast_to, so a batch of one costs no more than the
-        # single-layout loop it replaced.
-        num_ranks = len(ranks)
-        totals = node_routing.reshape(1, -1).repeat(m, axis=0)   # (M, R*E)
-        tiled = weights[:, None].repeat(num_ranks, axis=1)       # (M, R, E, N)
-        plans[:, ranks] = _split_evenly_batched(
-            totals.reshape(-1), tiled.reshape(-1, n)
-        ).reshape(m, num_ranks, num_experts, n)
+    blocks = replica.reshape(m, num_experts, g, d).transpose(0, 2, 1, 3)
+    has_intra = blocks.sum(axis=3) > 0                           # (M, G, E)
+    # The first node (then expert) with demand for an expert that some
+    # candidate hosts nowhere.
+    missing = ((routing.reshape(g, d, num_experts).sum(axis=1) > 0)
+               & (replica.sum(axis=2) <= 0).any(axis=0))         # (G, E)
+    if missing.any():
+        expert = int(np.argmax(missing[np.argmax(missing.any(axis=1))]))
+        raise ValueError(f"expert {expert} has no replica in the layout")
+    # One row per (candidate, sender, expert), in (M, G, D, E) order.
+    # ndarray.repeat, not np.broadcast_to, so a batch of one stays cheap.
+    totals = routing.reshape(1, g, d, num_experts).repeat(m, axis=0)
+    intra = has_intra[:, :, None]                                # (M, G, 1, E)
+    # Rows whose node hosts the expert split over that node's D devices
+    # (keeping traffic on NVLink).
+    local = _split_evenly_batched(
+        np.where(intra, totals, 0).reshape(-1),
+        blocks[:, :, None].repeat(d, axis=2).reshape(-1, d),
+    ).reshape(m, g, d, num_experts, d)
+    plans = np.zeros((m, g, d, num_experts, g, d), dtype=np.int64)
+    nodes = np.arange(g)
+    plans[:, nodes, :, :, nodes] = local.transpose(1, 0, 2, 3, 4)
+    # The rest split over the expert's replicas across the whole cluster.
+    # Their weights depend only on (candidate, expert), so each row splits
+    # over the devices hosting its expert (padded to the most any fallback
+    # expert has, K) in index order, not all N.
+    cands, g_idx, d_idx, experts = np.nonzero(~intra & (totals > 0))
+    plans = plans.reshape(m, n, num_experts, n)
+    if cands.size:
+        k = int((replica > 0).sum(axis=2)[cands, experts].max())
+        hosts = np.argsort(replica <= 0, axis=2, kind="stable")[:, :, :k]
+        senders = g_idx * d + d_idx
+        plans[cands[:, None], senders[:, None], experts[:, None],
+              hosts[cands, experts]] = _split_evenly_batched(
+            routing[senders, experts],
+            np.take_along_axis(replica, hosts, axis=2)[cands, experts])
     return plans

@@ -144,3 +144,49 @@ class TestEvaluateBatch:
             small_cost_model.evaluate_batch(np.zeros((8, 8, 8)))
         with pytest.raises(ValueError):
             small_cost_model.evaluate_batch(np.zeros((2, 8, 8, 7)))
+
+    @staticmethod
+    def assert_same_costs(left, right):
+        assert (left.total, left.comm_time, left.comp_time, left.max_tokens) \
+            == (right.total, right.comm_time, right.comp_time,
+                right.max_tokens)
+        assert left.tokens_per_device.dtype == right.tokens_per_device.dtype
+        assert np.array_equal(left.tokens_per_device, right.tokens_per_device)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_int64_plans_sum_before_the_cast(self, small_topology,
+                                             small_cost_model, seed):
+        """int64 plans score bit-identically to the scalar oracle and to the
+        same plans passed as float64."""
+        from repro.core.lite_routing import lite_route_batch
+        from repro.core.relocation import relocate_experts
+        from repro.core.replica_allocation import (
+            even_replicas,
+            perturb_replicas,
+        )
+        rng = np.random.default_rng(seed)
+        schemes = [even_replicas(8, 8, 2)]
+        schemes += [perturb_replicas(schemes[0], rng, 2) for _ in range(3)]
+        loads = rng.integers(1, 1000, size=8)
+        layouts = [relocate_experts(s, loads, small_topology, 2)
+                   for s in schemes]
+        routing = rng.integers(0, 10**6, size=(8, 8))
+        plans = lite_route_batch(routing, layouts, small_topology)
+        assert plans.dtype == np.int64
+        as_int = small_cost_model.evaluate_batch(plans)
+        as_float = small_cost_model.evaluate_batch(plans.astype(np.float64))
+        for index, plan in enumerate(plans):
+            self.assert_same_costs(as_int[index],
+                                   scalar_evaluate(small_cost_model, plan))
+            self.assert_same_costs(as_int[index], as_float[index])
+            self.assert_same_costs(as_int[index],
+                                   small_cost_model.evaluate(plan))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_negative_entry_rejected(self, small_cost_model, dtype):
+        plans = np.zeros((2, 8, 8, 8), dtype=dtype)
+        plans[1, 3, 2, 5] = -1
+        with pytest.raises(ValueError, match="non-negative"):
+            small_cost_model.evaluate_batch(plans)
+        with pytest.raises(ValueError, match="non-negative"):
+            small_cost_model.evaluate(plans[1])

@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 
 from repro.core.layout import ExpertLayout, static_ep_layout
-from repro.core.lite_routing import lite_route, _split_evenly
+from repro.core.lite_routing import lite_route, _split_evenly_batched
+from repro.scalar_reference import scalar_split_evenly
+
+
+def _split_evenly(total, weights):
+    """One-row :func:`_split_evenly_batched`, checked against the oracle."""
+    split = _split_evenly_batched(np.asarray([total]),
+                                  np.asarray([weights]))[0]
+    assert split.tolist() == scalar_split_evenly(total, weights).tolist()
+    return split
 
 
 class TestSplitEvenly:

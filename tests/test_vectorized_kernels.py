@@ -17,17 +17,21 @@ from repro.cluster.topology import (
     ClusterTopology,
     group_by_node,
 )
+from repro.core.cost_model import MoECostModel
 from repro.core.layout import ExpertLayout, static_ep_layout
+from repro.core.layout_tuner import ExpertLayoutTuner
 from repro.core.lite_routing import (
-    _split_evenly,
     _split_evenly_batched,
     lite_route,
+    lite_route_batch,
 )
+from repro.core.relocation import relocate_experts
 from repro.scalar_reference import (
     scalar_all_to_all,
     scalar_lite_route,
     scalar_split_evenly,
 )
+from repro.workloads.model_configs import get_model_config
 from repro.workloads.routing_traces import (
     RoutingTrace,
     RoutingTraceConfig,
@@ -195,7 +199,8 @@ class TestLiteRoutingEquivalence:
             assert batched[row].sum() == totals[row]
 
     def test_split_evenly_single_row_unchanged(self):
-        assert _split_evenly(10, np.array([1, 1, 1])).tolist() == \
+        split = _split_evenly_batched(np.array([10]), np.array([[1, 1, 1]]))
+        assert split[0].tolist() == \
             scalar_split_evenly(10, np.array([1, 1, 1])).tolist()
 
     def test_lite_route_exactly_matches_scalar(self, topology):
@@ -219,6 +224,89 @@ class TestLiteRoutingEquivalence:
         layout = ExpertLayout(np.zeros((8, 2), dtype=np.int64), capacity=1)
         with pytest.raises(ValueError, match="no replica"):
             lite_route(np.ones((8, 2), dtype=np.int64), layout, topology)
+
+    def test_missing_replica_error_names_the_expert(self, topology):
+        assignment = np.ones((8, 3), dtype=np.int64)
+        assignment[:, 1] = 0
+        hosted = ExpertLayout(np.ones((8, 3), dtype=np.int64), capacity=3)
+        layouts = [hosted, ExpertLayout(assignment, capacity=3)]
+        with pytest.raises(ValueError, match="expert 1 has no replica"):
+            lite_route_batch(np.ones((8, 3), dtype=np.int64), layouts,
+                             topology)
+        # No demand for the unhosted expert: nothing to route, no error.
+        routing = np.ones((8, 3), dtype=np.int64)
+        routing[:, 1] = 0
+        plans = lite_route_batch(routing, layouts, topology)
+        assert np.array_equal(plans.sum(axis=3), np.stack([routing] * 2))
+
+
+def stacked_scalar_lite_route(routing, layouts, topology):
+    return np.stack([scalar_lite_route(routing, layout, topology)
+                     for layout in layouts])
+
+
+class TestNodeBlockedLiteRouteBatch:
+    """``lite_route_batch`` splits intra-node rows over their node's ``D``
+    devices and only cross-node fallback rows over the expert's hosts
+    across the cluster; the plans must equal the stacked scalar oracle
+    exactly."""
+
+    @staticmethod
+    def tuner_layouts(num_devices, capacity, seed):
+        topology = ClusterTopology.homogeneous(num_devices, 8)
+        model_config = get_model_config("mixtral-8x7b-e8k2")
+        tuner = ExpertLayoutTuner(
+            topology, MoECostModel.from_model_config(model_config, topology),
+            capacity)
+        rng = np.random.default_rng(seed)
+        routing = rng.integers(0, 4096, size=(num_devices,
+                                              model_config.num_experts))
+        loads = routing.sum(axis=0)
+        layouts = [relocate_experts(replicas, loads, topology, capacity)
+                   for replicas in tuner.candidate_replica_schemes(
+                       loads, model_config.num_experts)]
+        return topology, routing, layouts
+
+    @pytest.mark.parametrize("num_devices, capacity, seed",
+                             [(64, 2, 0), (64, 2, 1), (1024, 8, 2)])
+    def test_tuner_candidates_match_stacked_scalar(self, num_devices,
+                                                   capacity, seed):
+        topology, routing, layouts = self.tuner_layouts(num_devices,
+                                                        capacity, seed)
+        assert len(layouts) >= 2
+        assert np.array_equal(
+            lite_route_batch(routing, layouts, topology),
+            stacked_scalar_lite_route(routing, layouts, topology))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mixed_intra_and_fallback_rows(self, seed):
+        """Sparse layouts leave some nodes without an expert, so one batch
+        holds both intra-node rows and cross-node fallback rows."""
+        topology = ClusterTopology(num_nodes=4, devices_per_node=4)
+        rng = np.random.default_rng(seed)
+        layouts = []
+        for _ in range(3):
+            assignment = np.zeros((16, 6), dtype=np.int64)
+            for expert in range(6):
+                hosts = rng.choice(16, size=rng.integers(1, 4), replace=False)
+                assignment[hosts, expert] = rng.integers(1, 3, size=len(hosts))
+            layouts.append(ExpertLayout(assignment, capacity=12))
+        routing = rng.integers(0, 500, size=(16, 6))
+        routing[rng.uniform(size=(16, 6)) < 0.2] = 0
+        hosted_on_node = np.stack([
+            layout.assignment.reshape(4, 4, 6).sum(axis=1) > 0
+            for layout in layouts])                          # (M, G, E)
+        assert hosted_on_node.any() and not hosted_on_node.all()
+        plans = lite_route_batch(routing, layouts, topology)
+        assert np.array_equal(
+            plans, stacked_scalar_lite_route(routing, layouts, topology))
+        # Fallback rows really leave their node; intra rows never do.
+        senders_node = np.arange(16) // 4
+        offnode = plans.reshape(3, 16, 6, 4, 4).sum(axis=4)
+        offnode[:, np.arange(16), :, senders_node] = 0
+        moved = offnode.sum(axis=3) > 0                     # (M, N, E)
+        assert moved.any()
+        assert not (moved & hosted_on_node[:, senders_node]).any()
 
 
 # ----------------------------------------------------------------------
