@@ -28,6 +28,11 @@ oracles (``scalar_lite_route`` + ``scalar_evaluate``).
 tuner's default candidate layouts), after asserting it equals the stacked
 ``scalar_lite_route`` calls; its ceiling is recorded but not asserted.
 
+``baselines_run_experiment`` records the absolute seconds (best of
+``repeats``) of one ``run_experiment`` of the six baseline systems on the
+profiled configuration: the frame-step dispatch and simulator path, which
+the LAER row barely exercises.
+
 Usage::
 
     python benchmarks/bench_perf.py            # full config, asserts floors
@@ -90,6 +95,10 @@ TUNER_NUM_NODES = 2
 TUNER_DEVICES_PER_NODE = 4
 TUNER_CANDIDATES = 16
 
+#: The systems of the ``baselines_run_experiment`` row.
+BASELINE_SYSTEMS = ("megatron", "fsdp_ep", "fastermoe", "smartmoe", "prophet",
+                    "flexmoe")
+
 #: Fig. 11's largest planner shape for the absolute-seconds
 #: ``lite_route_batch`` row (the tuner's default candidates), and its
 #: unasserted ceiling.
@@ -121,9 +130,13 @@ def swapped(*swaps):
 
 
 def stacked_scalar_lite_route(routing, layouts, topology) -> np.ndarray:
-    """``lite_route_batch`` as a stack of per-layout scalar oracle calls."""
-    return np.stack([scalar_lite_route(routing, layout, topology)
-                     for layout in layouts])
+    """``lite_route_batch`` as a stack of per-layout scalar oracle calls:
+    row ``m`` of an ``(M, N, E)`` routing (or the shared ``(N, E)`` routing)
+    under ``layouts[m]``."""
+    routing = np.asarray(routing)
+    rows = routing if routing.ndim == 3 else [routing] * len(layouts)
+    return np.stack([scalar_lite_route(row, layout, topology)
+                     for row, layout in zip(rows, layouts)])
 
 
 def scalar_planner_kernels():
@@ -222,16 +235,21 @@ def bench_lite_route_batch(repeats: int) -> dict:
             "batched_s": batched_s, "speedup": scalar_s / batched_s}
 
 
-def bench_end_to_end(iterations: int) -> dict:
-    spec = ExperimentSpec(
+def profiled_spec(iterations: int, systems=("laer",)) -> ExperimentSpec:
+    """The profiled configuration, simulating ``systems``."""
+    return ExperimentSpec(
         name="bench-perf",
         cluster=ClusterSpec(num_nodes=NUM_NODES,
                             devices_per_node=DEVICES_PER_NODE),
         workload=WorkloadSpec(model="mixtral-8x7b-e8k2", layers=NUM_LAYERS,
                               tokens_per_device=TOKENS_PER_DEVICE,
                               iterations=iterations),
-        systems=(SystemSpec(name="laer"),),
+        systems=tuple(SystemSpec(name=name) for name in systems),
     )
+
+
+def bench_end_to_end(iterations: int) -> dict:
+    spec = profiled_spec(iterations)
 
     def simulate():
         return run_experiment(spec, parallel=False)
@@ -253,6 +271,14 @@ def bench_end_to_end(iterations: int) -> dict:
             "scalar_s": scalar_s, "vectorized_s": vectorized_s,
             "speedup": scalar_s / vectorized_s,
             "throughput_tokens_per_s": vectorized.systems["laer"].throughput}
+
+
+def bench_baselines_end_to_end(iterations: int, repeats: int) -> dict:
+    spec = profiled_spec(iterations, BASELINE_SYSTEMS)
+    run_experiment(spec, parallel=False)  # warm caches/imports
+    seconds = best_of(lambda: run_experiment(spec, parallel=False), repeats)
+    return {"systems": list(BASELINE_SYSTEMS), "iterations": iterations,
+            "vectorized_s": seconds}
 
 
 def bench_tuner_batch_eval(quick: bool) -> dict:
@@ -320,6 +346,8 @@ def measure(quick: bool):
         "tuner_batch_eval": bench_tuner_batch_eval(quick),
         "lite_route_batch": bench_lite_route_batch(repeats),
         "run_experiment": bench_end_to_end(iterations),
+        "baselines_run_experiment": bench_baselines_end_to_end(iterations,
+                                                               repeats),
     }
     return config, metrics, [
         Gate("run_experiment.speedup", ">=", END_TO_END_FLOOR),

@@ -1,11 +1,11 @@
 """Load-balancing policies of the systems LAER-MoE is compared against.
 
 Every policy implements the :class:`~repro.baselines.base.LoadBalancingPolicy`
-interface: given the routing matrices of an iteration it decides the expert
-layout of each MoE layer, routes tokens onto that layout, and reports the extra
-communication its re-layout mechanism costs (parameter migration, shadow-expert
-broadcast, replicated-gradient synchronisation).  The iteration simulator turns
-those decisions into time.
+interface: given the routing frame of an iteration it chooses the expert layout
+of each MoE layer and reports the extra communication its re-layout mechanism
+costs (parameter migration, shadow-expert broadcast, replicated-gradient
+synchronisation); the base class routes the whole frame onto those layouts in
+one dispatch.  The iteration simulator turns the decisions into time.
 
 Implemented policies:
 
@@ -25,7 +25,7 @@ Implemented policies:
   iteration's routing; a lower bound no real system can achieve.
 """
 
-from repro.baselines.base import LoadBalancingPolicy, PolicyDecision
+from repro.baselines.base import LayerChoice, LoadBalancingPolicy, PolicyDecision
 from repro.baselines.static_ep import StaticEPPolicy
 from repro.baselines.fastermoe import FasterMoEPolicy
 from repro.baselines.smartmoe import SmartMoEPolicy
@@ -35,6 +35,7 @@ from repro.baselines.laer import LAERPolicy
 from repro.baselines.oracle import OracleBalancedPolicy
 
 __all__ = [
+    "LayerChoice",
     "LoadBalancingPolicy",
     "PolicyDecision",
     "StaticEPPolicy",

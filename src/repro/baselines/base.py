@@ -6,6 +6,13 @@ For every MoE layer of the iteration it must produce a
 for the iteration's actual routing ``R``, and the extra communication the
 policy's re-layout mechanism costs in that iteration.
 
+The unit of work is the iteration's ``(L, N, E)`` routing frame.  A policy
+only chooses each layer's layout and extra bytes (:meth:`choose_layer`);
+:meth:`LoadBalancingPolicy.decide_iteration` then routes the whole frame in
+one batched :meth:`~LoadBalancingPolicy.dispatch` -- lite routing by
+default, EP group routing for the static-placement systems.  LAER instead
+runs the planner's frame step, which dispatches and then tunes.
+
 The extra communication is split into two buckets because the simulator charges
 them differently:
 
@@ -19,14 +26,31 @@ them differently:
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.cluster.topology import ClusterTopology
 from repro.core.layout import ExpertLayout
+from repro.core.lite_routing import lite_route_batch
+
+
+@dataclass
+class LayerChoice:
+    """What a policy chose for one MoE layer, before the frame is dispatched.
+
+    Attributes:
+        layout: Expert layout ``A`` used during the iteration.
+        relayout_bytes_exposed: See :class:`PolicyDecision`.
+        grad_sync_extra_bytes: See :class:`PolicyDecision`.
+        metadata: Free-form diagnostics.
+    """
+
+    layout: ExpertLayout
+    relayout_bytes_exposed: float = 0.0
+    grad_sync_extra_bytes: float = 0.0
+    metadata: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -51,8 +75,13 @@ class PolicyDecision:
     metadata: dict = field(default_factory=dict)
 
 
-class LoadBalancingPolicy(abc.ABC):
-    """Base class for the expert placement / routing policies."""
+class LoadBalancingPolicy:
+    """Base class for the expert placement / routing policies.
+
+    Subclasses implement :meth:`choose_layer`; they may override
+    :meth:`dispatch` (how a frame is routed onto the chosen layouts) or,
+    like LAER, :meth:`plan_frame` (choose and dispatch in one step).
+    """
 
     #: Human-readable system name used in reports.
     name: str = "base"
@@ -72,19 +101,36 @@ class LoadBalancingPolicy(abc.ABC):
         self._iteration = 0
 
     # ------------------------------------------------------------------
-    @abc.abstractmethod
-    def decide_layer(self, layer: int, routing: np.ndarray) -> PolicyDecision:
-        """Decide layout + routing for one layer of the current iteration."""
+    def choose_layer(self, layer: int, routing: np.ndarray) -> LayerChoice:
+        """Choose the layout (and extra bytes) of one layer of the current
+        iteration; ``routing`` is that layer's ``(N, E)`` routing."""
+        raise NotImplementedError
+
+    def dispatch(self, frame: np.ndarray,
+                 layouts: List[ExpertLayout]) -> np.ndarray:
+        """Route the ``(L, N, E)`` frame onto one layout per layer: the
+        ``(L, N, E, N)`` plans, by lite routing (Algorithm 3) in one batch."""
+        return lite_route_batch(frame, layouts, self.topology)
+
+    def plan_frame(self, frame: np.ndarray
+                   ) -> Tuple[List[LayerChoice], np.ndarray]:
+        """Choose every layer's layout in order, then dispatch the frame."""
+        choices = [self.choose_layer(layer, routing)
+                   for layer, routing in enumerate(frame)]
+        return choices, self.dispatch(frame, [c.layout for c in choices])
 
     def decide_iteration(self, routing_by_layer: np.ndarray) -> List[PolicyDecision]:
         """Decide every layer of an iteration, then advance the iteration counter."""
-        routing_by_layer = np.asarray(routing_by_layer, dtype=np.int64)
-        if routing_by_layer.ndim != 3:
+        frame = np.asarray(routing_by_layer, dtype=np.int64)
+        if frame.ndim != 3:
             raise ValueError("routing_by_layer must have shape (layers, N, E)")
-        decisions = [self.decide_layer(layer, routing_by_layer[layer])
-                     for layer in range(routing_by_layer.shape[0])]
+        choices, plans = self.plan_frame(frame)
         self._iteration += 1
-        return decisions
+        return [PolicyDecision(layout=choice.layout, routing_plan=plan,
+                               relayout_bytes_exposed=choice.relayout_bytes_exposed,
+                               grad_sync_extra_bytes=choice.grad_sync_extra_bytes,
+                               metadata=choice.metadata)
+                for choice, plan in zip(choices, plans)]
 
     # ------------------------------------------------------------------
     @property

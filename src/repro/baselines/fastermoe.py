@@ -10,18 +10,20 @@ shadowed experts, which is why FasterMoE limits how many experts it shadows.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from repro.baselines.base import LoadBalancingPolicy, PolicyDecision
-from repro.baselines.static_ep import ep_group_route
+from repro.baselines.base import LayerChoice
+from repro.baselines.static_ep import StaticEPPolicy
 from repro.cluster.topology import ClusterTopology
-from repro.core.layout import ExpertLayout, static_ep_layout
+from repro.core.layout import ExpertLayout
 
 
-class FasterMoEPolicy(LoadBalancingPolicy):
-    """Shadow the hottest experts onto every device each iteration."""
+class FasterMoEPolicy(StaticEPPolicy):
+    """Shadow the hottest experts onto every device each iteration.
+
+    The static EP placement and dispatch are inherited: a shadowed expert is
+    hosted by every device, so the EP dispatch keeps its tokens local.
+    """
 
     name = "fastermoe"
 
@@ -43,8 +45,6 @@ class FasterMoEPolicy(LoadBalancingPolicy):
             raise ValueError("hot_threshold must exceed 1.0")
         self.max_shadow_experts = max_shadow_experts
         self.hot_threshold = hot_threshold
-        self._base_layout = static_ep_layout(
-            topology.num_devices, num_experts, capacity)
         self._last_routing: dict[int, np.ndarray] = {}
 
     def reset(self) -> None:
@@ -68,38 +68,23 @@ class FasterMoEPolicy(LoadBalancingPolicy):
         return hot
 
     # ------------------------------------------------------------------
-    def decide_layer(self, layer: int, routing: np.ndarray) -> PolicyDecision:
-        routing = np.asarray(routing, dtype=np.int64)
+    def choose_layer(self, layer: int, routing: np.ndarray) -> LayerChoice:
         shadows = self._select_shadow_experts(layer)
-        n = self.topology.num_devices
 
         # Shadowed experts become locally available on every device; the
         # effective capacity grows by the number of shadows.
-        assignment = self._base_layout.assignment.copy()
-        for expert in shadows:
-            assignment[:, expert] = np.maximum(assignment[:, expert], 1)
+        assignment = self._layout.assignment.copy()
+        assignment[:, shadows] = np.maximum(assignment[:, shadows], 1)
         capacity = int(max(self.capacity, assignment.sum(axis=1).max()))
-        layout = ExpertLayout(assignment, capacity)
-
-        # Routing: shadowed experts are computed locally, the rest follow the
-        # classic EP route.
-        plan = ep_group_route(routing, self.capacity)
-        for expert in shadows:
-            plan[:, expert, :] = 0
-            for sender in range(n):
-                plan[sender, expert, sender] = routing[sender, expert]
 
         # Broadcast of shadow parameters (each device receives each shadowed
         # expert once) and All-Reduce of their gradients (2x volume, ring).
         shadow_bytes = float(shadows.size) * self.expert_param_bytes
-        relayout_exposed = shadow_bytes
-        grad_extra = 2.0 * shadow_bytes
 
         self._last_routing[layer] = routing.copy()
-        return PolicyDecision(
-            layout=layout,
-            routing_plan=plan,
-            relayout_bytes_exposed=relayout_exposed,
-            grad_sync_extra_bytes=grad_extra,
+        return LayerChoice(
+            layout=ExpertLayout(assignment, capacity),
+            relayout_bytes_exposed=shadow_bytes,
+            grad_sync_extra_bytes=2.0 * shadow_bytes,
             metadata={"shadow_experts": shadows.tolist()},
         )

@@ -19,10 +19,9 @@ from typing import Dict
 
 import numpy as np
 
-from repro.baselines.base import LoadBalancingPolicy, PolicyDecision
+from repro.baselines.base import LayerChoice, LoadBalancingPolicy
 from repro.cluster.topology import ClusterTopology
 from repro.core.layout import ExpertLayout, round_robin_layout
-from repro.core.lite_routing import lite_route
 
 
 class FlexMoEPolicy(LoadBalancingPolicy):
@@ -115,8 +114,7 @@ class FlexMoEPolicy(LoadBalancingPolicy):
         return ExpertLayout(assignment, self.capacity), changes
 
     # ------------------------------------------------------------------
-    def decide_layer(self, layer: int, routing: np.ndarray) -> PolicyDecision:
-        routing = np.asarray(routing, dtype=np.int64)
+    def choose_layer(self, layer: int, routing: np.ndarray) -> LayerChoice:
         if layer not in self._layouts:
             self._layouts[layer] = round_robin_layout(
                 self.topology.num_devices, self.num_experts, self.capacity)
@@ -131,19 +129,14 @@ class FlexMoEPolicy(LoadBalancingPolicy):
                 migration = changes * self.expert_param_bytes * self.state_multiplier
             self._layouts[layer] = new_layout
 
-        layout = self._layouts[layer]
-        plan = lite_route(routing, layout, self.topology)
-
         observed = routing.sum(axis=0).astype(np.float64)
         if history is None:
             self._history[layer] = observed
         else:
             self._history[layer] = 0.5 * history + 0.5 * observed
 
-        return PolicyDecision(
-            layout=layout.copy(),
-            routing_plan=plan,
+        return LayerChoice(
+            layout=self._layouts[layer].copy(),
             relayout_bytes_exposed=migration,
-            grad_sync_extra_bytes=0.0,
             metadata={"adjustments": changes},
         )

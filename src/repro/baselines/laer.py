@@ -10,11 +10,11 @@ the paper's design.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.baselines.base import LoadBalancingPolicy, PolicyDecision
+from repro.baselines.base import LayerChoice, LoadBalancingPolicy
 from repro.cluster.topology import ClusterTopology
 from repro.core.cost_model import MoECostModel
 from repro.core.layout_tuner import TunerConfig
@@ -41,15 +41,13 @@ class LAERPolicy(LoadBalancingPolicy):
         self.planner.reset()
 
     # ------------------------------------------------------------------
-    def decide_layer(self, layer: int, routing: np.ndarray) -> PolicyDecision:
-        # The planner step dispatches on the current layout and feeds the
-        # observation to the asynchronous tuner for the next iteration; the
-        # simulator prices the plan itself, so no cost-model step here.
-        layout, plan = self.planner.step(layer, routing)
-        return PolicyDecision(
-            layout=layout,
-            routing_plan=plan,
-            relayout_bytes_exposed=0.0,
-            grad_sync_extra_bytes=0.0,
-            metadata={"per_iteration_relayout": True},
-        )
+    def plan_frame(self, frame: np.ndarray
+                   ) -> Tuple[List[LayerChoice], np.ndarray]:
+        # The planner step dispatches the frame on the current layouts and
+        # feeds each layer's observation to the asynchronous tuner for the
+        # next iteration; the simulator prices the plans itself, so no
+        # cost-model step here.
+        layouts, plans = self.planner.step(frame)
+        return [LayerChoice(layout=layout,
+                            metadata={"per_iteration_relayout": True})
+                for layout in layouts], plans

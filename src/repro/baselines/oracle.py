@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.base import LoadBalancingPolicy, PolicyDecision
+from repro.baselines.base import LayerChoice, LoadBalancingPolicy
 from repro.cluster.topology import ClusterTopology
 from repro.core.cost_model import MoECostModel
 from repro.core.layout_tuner import ExpertLayoutTuner, TunerConfig
@@ -33,13 +33,6 @@ class OracleBalancedPolicy(LoadBalancingPolicy):
         super().reset()
         self.tuner.reset()
 
-    def decide_layer(self, layer: int, routing: np.ndarray) -> PolicyDecision:
-        routing = np.asarray(routing, dtype=np.int64)
-        result = self.tuner.solve(routing)
-        return PolicyDecision(
-            layout=result.layout,
-            routing_plan=result.routing_plan,
-            relayout_bytes_exposed=0.0,
-            grad_sync_extra_bytes=0.0,
-            metadata={"oracle": True},
-        )
+    def choose_layer(self, layer: int, routing: np.ndarray) -> LayerChoice:
+        return LayerChoice(layout=self.tuner.solve(routing).layout,
+                           metadata={"oracle": True})

@@ -14,10 +14,9 @@ from typing import Dict
 
 import numpy as np
 
-from repro.baselines.base import LoadBalancingPolicy, PolicyDecision
+from repro.baselines.base import LayerChoice, LoadBalancingPolicy
 from repro.cluster.topology import ClusterTopology
 from repro.core.layout import ExpertLayout
-from repro.core.lite_routing import lite_route
 from repro.core.relocation import relocate_experts
 from repro.core.replica_allocation import allocate_replicas_priority_queue
 
@@ -90,8 +89,7 @@ class ProphetPolicy(LoadBalancingPolicy):
         return relocate_experts(replicas, forecast, self.topology, self.capacity)
 
     # ------------------------------------------------------------------
-    def decide_layer(self, layer: int, routing: np.ndarray) -> PolicyDecision:
-        routing = np.asarray(routing, dtype=np.int64)
+    def choose_layer(self, layer: int, routing: np.ndarray) -> LayerChoice:
         migration = 0.0
         needs_solve = (layer not in self._layouts
                        or (self._iteration % self.adjustment_interval == 0
@@ -103,7 +101,6 @@ class ProphetPolicy(LoadBalancingPolicy):
             self._layouts[layer] = new_layout
 
         layout = self._layouts[layer]
-        plan = lite_route(routing, layout, self.topology)
 
         # Replicated experts need their gradients synchronised across replicas.
         extra_replicas = int(layout.replicas_per_expert().sum()) - self.num_experts
@@ -118,9 +115,8 @@ class ProphetPolicy(LoadBalancingPolicy):
             self._forecast[layer] = ((1.0 - self.ema_decay) * prev
                                      + self.ema_decay * observed)
 
-        return PolicyDecision(
+        return LayerChoice(
             layout=layout.copy(),
-            routing_plan=plan,
             relayout_bytes_exposed=migration,
             grad_sync_extra_bytes=grad_extra,
             metadata={"resolved": needs_solve},

@@ -13,10 +13,9 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.baselines.base import LoadBalancingPolicy, PolicyDecision
+from repro.baselines.base import LayerChoice, LoadBalancingPolicy
 from repro.cluster.topology import ClusterTopology
 from repro.core.layout import ExpertLayout
-from repro.core.lite_routing import lite_route
 from repro.core.relocation import relocate_experts
 
 
@@ -70,8 +69,7 @@ class SmartMoEPolicy(LoadBalancingPolicy):
         return relocate_experts(replicas, loads, self.topology, self.capacity)
 
     # ------------------------------------------------------------------
-    def decide_layer(self, layer: int, routing: np.ndarray) -> PolicyDecision:
-        routing = np.asarray(routing, dtype=np.int64)
+    def choose_layer(self, layer: int, routing: np.ndarray) -> LayerChoice:
         relocated = False
         migration = 0.0
         if layer not in self._layouts:
@@ -83,9 +81,6 @@ class SmartMoEPolicy(LoadBalancingPolicy):
             relocated = migration > 0
             self._layouts[layer] = new_layout
 
-        layout = self._layouts[layer]
-        plan = lite_route(routing, layout, self.topology)
-
         # Accumulate an exponential moving average of the load history so the
         # next relocation reflects recent behaviour.
         prev = self._history.get(layer)
@@ -94,10 +89,8 @@ class SmartMoEPolicy(LoadBalancingPolicy):
         else:
             self._history[layer] = 0.7 * prev + 0.3 * routing
 
-        return PolicyDecision(
-            layout=layout.copy(),
-            routing_plan=plan,
+        return LayerChoice(
+            layout=self._layouts[layer].copy(),
             relayout_bytes_exposed=migration,
-            grad_sync_extra_bytes=0.0,
             metadata={"relocated": relocated},
         )

@@ -11,11 +11,14 @@ to.  The algorithm is topology-aware and requires no global coordination:
 The result is the routing plan ``S[i, j, k]`` consumed by the cost model, the
 All-to-All dispatcher and the iteration simulator.
 
-:func:`lite_route_batch` is the one kernel: it routes one routing matrix under
-``M`` layouts at once, which is how the layout tuner scores its candidates.
-:func:`lite_route` -- the dispatcher's call for the layout actually in use --
-is a batch of one.  The per-rank, per-expert loop it replaced lives on as the
-oracle ``repro.scalar_reference.scalar_lite_route``.
+:func:`lite_route_batch` is the one kernel: it routes ``M`` (routing, layout)
+rows at once.  The rows are an iteration's ``(L, N, E)`` routing frame, one
+layout per layer, when the planner or a baseline policy dispatches a whole
+iteration; or one shared routing matrix under ``M`` candidate layouts, when
+the layout tuner scores its candidates.  :func:`lite_route` -- one routing
+matrix under one layout -- is a batch of one.  The per-rank, per-expert loop
+the kernel replaced lives on as the oracle
+``repro.scalar_reference.scalar_lite_route``.
 
 Nodes are contiguous blocks of ``devices_per_node`` (``D``) ranks, so almost
 every row only splits over its own node's ``D`` devices: the kernel splits
@@ -81,12 +84,14 @@ def lite_route(routing: np.ndarray, layout: ExpertLayout,
 
 def lite_route_batch(routing: np.ndarray, layouts: "list[ExpertLayout]",
                      topology: ClusterTopology) -> np.ndarray:
-    """Run lite routing under ``M`` layouts of one cluster in one batch.
+    """Run lite routing for ``M`` (routing, layout) rows of one cluster at once.
 
-    The layout tuner scores every candidate layout on the *same* routing
-    matrix; since :func:`_split_evenly_batched` is purely row-wise, the
-    ``(candidate, sender, expert)`` rows of all candidates stack into one
-    call, and ``plans[m]`` does not depend on the other candidates.
+    Each row routes its own ``(N, E)`` routing matrix onto its own layout:
+    the base policy routes an iteration's ``(L, N, E)`` frame onto one
+    layout per layer.  A 2-D routing matrix is the shared case -- the
+    layout tuner scores every candidate layout on the *same* routing -- and
+    is routed as ``M`` identical rows.  Since :func:`_split_evenly_batched`
+    is purely row-wise, ``plans[m]`` depends only on row ``m``.
 
     The kernel is node-blocked and loop-free.  Replicas are viewed as
     ``(M, G, E, D)`` node blocks; every row whose node hosts the expert is
@@ -99,12 +104,13 @@ def lite_route_batch(routing: np.ndarray, layouts: "list[ExpertLayout]",
     index and the plans equal ``scalar_lite_route`` exactly.
 
     Args:
-        routing: ``(N, E)`` routing matrix ``R`` shared by all candidates.
-        layouts: Candidate expert layouts (all for the same cluster).
+        routing: ``(M, N, E)`` routing matrices, one per layout, or one
+            ``(N, E)`` routing matrix ``R`` shared by all layouts.
+        layouts: Expert layouts (all for the same cluster).
         topology: Cluster topology.
 
     Returns:
-        ``(M, N, E, N)`` integer plans, ``plans[m]`` routing ``R`` under
+        ``(M, N, E, N)`` integer plans, ``plans[m]`` routing row ``m`` under
         ``layouts[m]``.
     """
     routing = np.asarray(routing, dtype=np.int64)
@@ -115,29 +121,31 @@ def lite_route_batch(routing: np.ndarray, layouts: "list[ExpertLayout]",
     for layout in layouts:
         if layout.num_devices != n or layout.num_experts != num_experts:
             raise ValueError("candidate layouts must share one cluster shape")
-    if routing.shape != (n, num_experts):
+    m, g, d = len(layouts), topology.num_nodes, topology.devices_per_node
+    if routing.shape == (n, num_experts):
+        # ndarray.repeat, not np.broadcast_to, so a batch of one stays cheap.
+        routing = routing[None].repeat(m, axis=0)
+    elif routing.shape != (m, n, num_experts):
         raise ValueError(
-            f"routing must have shape ({n}, {num_experts}), "
-            f"got {routing.shape}")
+            f"routing must have shape ({n}, {num_experts}) or "
+            f"({m}, {n}, {num_experts}), got {routing.shape}")
     if topology.num_devices != n:
         raise ValueError("topology size does not match the layouts")
     if np.any(routing < 0):
         raise ValueError("token counts must be non-negative")
-    m, g, d = len(layouts), topology.num_nodes, topology.devices_per_node
     replica = np.stack([layout.assignment.T for layout in layouts]
                        ).astype(np.float64)                      # (M, E, N)
     blocks = replica.reshape(m, num_experts, g, d).transpose(0, 2, 1, 3)
     has_intra = blocks.sum(axis=3) > 0                           # (M, G, E)
-    # The first node (then expert) with demand for an expert that some
-    # candidate hosts nowhere.
-    missing = ((routing.reshape(g, d, num_experts).sum(axis=1) > 0)
-               & (replica.sum(axis=2) <= 0).any(axis=0))         # (G, E)
+    totals = routing.reshape(m, g, d, num_experts)
+    # The first node (then expert) with demand for an expert that its
+    # row's layout hosts nowhere.
+    missing = ((totals.sum(axis=2) > 0)
+               & (replica.sum(axis=2) <= 0)[:, None]).any(axis=0)  # (G, E)
     if missing.any():
         expert = int(np.argmax(missing[np.argmax(missing.any(axis=1))]))
         raise ValueError(f"expert {expert} has no replica in the layout")
-    # One row per (candidate, sender, expert), in (M, G, D, E) order.
-    # ndarray.repeat, not np.broadcast_to, so a batch of one stays cheap.
-    totals = routing.reshape(1, g, d, num_experts).repeat(m, axis=0)
+    # One row per (layout, sender, expert), in (M, G, D, E) order.
     intra = has_intra[:, :, None]                                # (M, G, 1, E)
     # Rows whose node hosts the expert split over that node's D devices
     # (keeping traffic on NVLink).
@@ -149,7 +157,7 @@ def lite_route_batch(routing: np.ndarray, layouts: "list[ExpertLayout]",
     nodes = np.arange(g)
     plans[:, nodes, :, :, nodes] = local.transpose(1, 0, 2, 3, 4)
     # The rest split over the expert's replicas across the whole cluster.
-    # Their weights depend only on (candidate, expert), so each row splits
+    # Their weights depend only on (layout, expert), so each row splits
     # over the devices hosting its expert (padded to the most any fallback
     # expert has, K) in index order, not all N.
     cands, g_idx, d_idx, experts = np.nonzero(~intra & (totals > 0))
@@ -160,6 +168,6 @@ def lite_route_batch(routing: np.ndarray, layouts: "list[ExpertLayout]",
         senders = g_idx * d + d_idx
         plans[cands[:, None], senders[:, None], experts[:, None],
               hosts[cands, experts]] = _split_evenly_batched(
-            routing[senders, experts],
+            routing[cands, senders, experts],
             np.take_along_axis(replica, hosts, axis=2)[cands, experts])
     return plans

@@ -7,9 +7,12 @@ it -- so layouts are always one step behind the routing they react to, exactly
 as in the paper.  At execution time the synchronous token dispatcher (lite
 routing) maps the *actual* routing of the iteration onto the planned layout.
 
-:meth:`LoadBalancingPlanner.step` is the one planner step (dispatch on the
-current layout, then observe and tune the next); :meth:`plan_iteration` and
-the LAER policy both run it.
+:meth:`LoadBalancingPlanner.step` is the one planner step.  Its unit of work
+is an iteration's ``(L, N, E)`` routing frame: one dispatch routes every layer
+onto its current layout in a single lite-routing batch, then each layer's
+routing is observed and its next layout tuned, layer by layer (so the tuner's
+random stream is consumed in layer order).  :meth:`plan_iteration` and the
+LAER policy both run it.
 """
 
 from __future__ import annotations
@@ -23,8 +26,15 @@ from repro.cluster.topology import ClusterTopology
 from repro.core.cost_model import CostBreakdown, MoECostModel
 from repro.core.layout import ExpertLayout, round_robin_layout, static_ep_layout
 from repro.core.layout_tuner import ExpertLayoutTuner, TunerConfig
-from repro.core.lite_routing import lite_route
+from repro.core.lite_routing import lite_route_batch
 from repro.telemetry.trace import span as _span
+
+
+def _check_frame(routing_by_layer: np.ndarray) -> np.ndarray:
+    frame = np.asarray(routing_by_layer, dtype=np.int64)
+    if frame.ndim != 3:
+        raise ValueError("routing_by_layer must have shape (layers, N, E)")
+    return frame
 
 
 @dataclass(frozen=True)
@@ -129,30 +139,38 @@ class LoadBalancingPlanner:
     # ------------------------------------------------------------------
     # Synchronous dispatch (token dispatcher)
     # ------------------------------------------------------------------
-    def dispatch(self, routing: np.ndarray, layout: ExpertLayout) -> np.ndarray:
-        """Run the synchronous token dispatcher (lite routing) for one layer."""
-        return lite_route(np.asarray(routing, dtype=np.int64), layout, self.topology)
+    def dispatch(self, frame: np.ndarray,
+                 layouts: List[ExpertLayout]) -> np.ndarray:
+        """Run the synchronous token dispatcher (lite routing) on a frame.
+
+        Routes layer ``l`` of the ``(L, N, E)`` frame onto ``layouts[l]`` in
+        one batch and returns the ``(L, N, E, N)`` plans.
+        """
+        return lite_route_batch(frame, layouts, self.topology)
 
     # ------------------------------------------------------------------
     # The planner step and full per-iteration planning
     # ------------------------------------------------------------------
-    def step(self, layer: int,
-             routing: np.ndarray) -> Tuple[ExpertLayout, np.ndarray]:
-        """Plan one layer of one iteration: returns ``(layout, plan)``.
+    def step(self, frame: np.ndarray
+             ) -> Tuple[List[ExpertLayout], np.ndarray]:
+        """Plan one iteration's ``(L, N, E)`` frame: ``(layouts, plans)``.
 
-        The layout is the one tuned from earlier observations (asynchronous
-        adaptation); the dispatcher routes the iteration's actual
-        ``routing`` onto it.  Afterwards the routing is observed and the
-        layout for this layer's next iteration is tuned.
+        Each layer's layout is the one tuned from earlier observations
+        (asynchronous adaptation); one dispatch routes the iteration's
+        actual routing of every layer onto them, giving ``(L, N, E, N)``
+        plans.  Afterwards each layer's routing is observed and the layout
+        for its next iteration is tuned, in layer order.
         """
-        layout = self.current_layout(layer)
+        frame = _check_frame(frame)
+        layouts = [self.current_layout(layer) for layer in range(len(frame))]
         # Telemetry phases (no-op spans while no tracer is armed).
-        with _span("planner.lite-route", layer=layer):
-            plan = self.dispatch(routing, layout)
-        with _span("planner.layout-tune", layer=layer):
-            self.observe(layer, routing)
-            self.tune_layout(layer)
-        return layout, plan
+        with _span("planner.lite-route", layers=len(frame)):
+            plans = self.dispatch(frame, layouts)
+        for layer, routing in enumerate(frame):
+            with _span("planner.layout-tune", layer=layer):
+                self.observe(layer, routing)
+                self.tune_layout(layer)
+        return layouts, plans
 
     def plan_iteration(self, routing_by_layer: np.ndarray) -> List[IterationPlan]:
         """Plan one training iteration for every MoE layer.
@@ -165,18 +183,17 @@ class LoadBalancingPlanner:
             One :class:`IterationPlan` per layer: the :meth:`step` of that
             layer plus the cost-model breakdown of its ``(A, S)``.
         """
-        routing_by_layer = np.asarray(routing_by_layer, dtype=np.int64)
-        if routing_by_layer.ndim != 3:
-            raise ValueError("routing_by_layer must have shape (layers, N, E)")
-        plans: List[IterationPlan] = []
-        for layer in range(routing_by_layer.shape[0]):
-            planned = layer in self._pending_layouts
-            layout, plan = self.step(layer, routing_by_layer[layer])
+        frame = _check_frame(routing_by_layer)
+        planned = [layer in self._pending_layouts for layer in range(len(frame))]
+        layouts, plans = self.step(frame)
+        results: List[IterationPlan] = []
+        for layer, (layout, plan) in enumerate(zip(layouts, plans)):
             with _span("planner.cost-eval", layer=layer):
                 cost = self.cost_model.evaluate(plan)
-            plans.append(IterationPlan(layout=layout, routing_plan=plan,
-                                       cost=cost, planned_from_history=planned))
-        return plans
+            results.append(IterationPlan(
+                layout=layout, routing_plan=plan, cost=cost,
+                planned_from_history=planned[layer]))
+        return results
 
     def reset(self) -> None:
         """Forget observed routing and pending layouts; re-seed the tuner."""

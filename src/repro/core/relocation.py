@@ -18,6 +18,10 @@ from repro.cluster.topology import ClusterTopology
 from repro.core.layout import ExpertLayout
 
 
+#: Replica count read for a full device in :func:`_select_device`.
+_FULL = np.iinfo(np.int64).max
+
+
 def relocate_experts(expert_replicas: np.ndarray, expert_loads: np.ndarray,
                      topology: ClusterTopology, capacity: int) -> ExpertLayout:
     """Algorithm 1: greedy topology-aware placement of expert replicas.
@@ -63,17 +67,17 @@ def relocate_experts(expert_replicas: np.ndarray, expert_loads: np.ndarray,
     assignment = np.zeros((num_devices, num_experts), dtype=np.int64)
     device_slots = np.zeros(num_devices, dtype=np.int64)
     device_loads = np.zeros(num_devices, dtype=np.float64)
-    node_of = np.array([topology.node(d) for d in range(num_devices)])
+    node_of = topology.device_nodes()
     # Replica count of every expert on every node, maintained incrementally so
     # the per-replica work stays O(nodes + devices) instead of O(nodes * devices).
-    node_expert_counts = np.zeros((topology.num_nodes, num_experts), dtype=np.int64)
+    # One contiguous (G,) row per expert.
+    expert_node_counts = np.zeros((num_experts, topology.num_nodes), dtype=np.int64)
 
     for expert, load in replica_list:
-        node_counts = node_expert_counts[:, expert]
-        device = _select_device(node_counts, node_of, device_slots,
-                                device_loads, capacity)
+        device = _select_device(expert_node_counts[expert], node_of,
+                                device_slots, device_loads, capacity)
         assignment[device, expert] += 1
-        node_expert_counts[node_of[device], expert] += 1
+        expert_node_counts[expert, node_of[device]] += 1
         device_loads[device] += load
         device_slots[device] += 1
 
@@ -90,13 +94,15 @@ def _select_device(node_counts: np.ndarray, node_of: np.ndarray,
     smallest accumulated load.  If every device on the preferred nodes is full,
     progressively relax to nodes with the next-fewest replicas.
     """
-    has_capacity = device_slots < capacity
-    if not np.any(has_capacity):
-        raise ValueError("no device has spare capacity for the replica")
     # The node-preference scan is a lexicographic argmin over the devices
     # with spare capacity: minimise (replicas of the expert already on the
-    # device's node, accumulated device load, device index).
-    per_device_count = np.where(has_capacity, node_counts[node_of], np.iinfo(np.int64).max)
-    preferred = per_device_count == per_device_count.min()
-    masked_loads = np.where(preferred, device_loads, np.inf)
-    return int(np.argmin(masked_loads))
+    # device's node, accumulated device load, device index).  Full devices
+    # read the sentinel; when the minimum is the sentinel, all are full.
+    per_device_count = node_counts[node_of]
+    per_device_count[device_slots >= capacity] = _FULL
+    fewest = per_device_count.min()
+    if fewest == _FULL:
+        raise ValueError("no device has spare capacity for the replica")
+    # Candidates ascend, so argmin's first minimum is the lowest index.
+    candidates = (per_device_count == fewest).nonzero()[0]
+    return int(candidates[device_loads[candidates].argmin()])

@@ -1,8 +1,9 @@
 """Scalar reference kernels: the one oracle for the vectorized kernels.
 
 The vectorized kernels (matrix-form ``all_to_all``, batched routing draws,
-batched lite routing and cost evaluation, lexicographic replica placement)
-replaced per-pair / per-device / per-plan Python code.  This module keeps
+batched lite routing and cost evaluation, loop-free EP group routing,
+lexicographic replica placement) replaced per-pair / per-device / per-plan
+Python code.  This module keeps
 the original semantics in one canonical place so that
 
 * the tests can assert equivalence against the true original behaviour on
@@ -101,6 +102,24 @@ def scalar_lite_route(routing, layout, topology):
             if targets.sum() == 0:
                 raise ValueError(f"expert {expert} has no replica")
             plan[rank, expert] = scalar_split_evenly(tokens, targets)
+    return plan
+
+
+def scalar_ep_group_route(routing, capacity):
+    """Original per-sender, per-expert loop of ``ep_group_route``."""
+    routing = np.asarray(routing, dtype=np.int64)
+    num_devices, num_experts = routing.shape
+    if num_experts % capacity != 0:
+        raise ValueError("num_experts must be a multiple of capacity")
+    p_ep = num_experts // capacity
+    if num_devices % p_ep != 0:
+        raise ValueError("num_devices must be a multiple of E/C")
+    plan = np.zeros((num_devices, num_experts, num_devices), dtype=np.int64)
+    for sender in range(num_devices):
+        row_start = (sender // p_ep) * p_ep
+        for expert in range(num_experts):
+            owner = row_start + expert // capacity
+            plan[sender, expert, owner] = routing[sender, expert]
     return plan
 
 

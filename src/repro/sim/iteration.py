@@ -184,6 +184,11 @@ class IterationSimulator:
                            or self.drop_policy != "penalty")
         self._device_token_capacity = (
             self.device_token_capacity() if overflow_active else None)
+        # The per-layer terms no decision changes, priced once.
+        self._attention_forward = self.attention_forward_time()
+        self._expert_prefetch = self.prefetch_time()
+        self._attention_prefetch = self.attention_prefetch_time()
+        self._base_grad_sync = self.grad_sync_time()
 
     def device_token_capacity(self) -> int:
         """The per-device *routed*-token budget the overflow model enforces.
@@ -221,9 +226,12 @@ class IterationSimulator:
 
     def token_a2a_time(self, routing_plan: np.ndarray) -> float:
         """One token All-to-All (dispatch or combine) from the routing plan."""
-        plan = np.asarray(routing_plan, dtype=np.float64)
-        pairwise_tokens = plan.sum(axis=1)
-        traffic = (pairwise_tokens * self.config.hidden_size
+        return self._pairwise_a2a_time(np.asarray(routing_plan).sum(axis=1))
+
+    def _pairwise_a2a_time(self, pairwise_tokens: np.ndarray) -> float:
+        """:meth:`token_a2a_time` from the plan's ``(N, N)`` sender/receiver
+        token counts."""
+        traffic = (pairwise_tokens.astype(np.float64) * self.config.hidden_size
                    * BYTES_PER_ELEMENT * self.comm_bytes_scale)
         np.fill_diagonal(traffic, 0.0)
         return self.collectives.all_to_all(traffic)
@@ -315,12 +323,15 @@ class IterationSimulator:
         profiles report), the stall of the faster ranks shows up as
         All-to-All time, so the expert-compute bucket records the mean and the
         difference max - mean is added to the All-to-All bucket.
+
+        Token counts are summed in the plan's own dtype: integer plans sum
+        exactly in int64, then convert to float.
         """
-        attention = self.attention_forward_time()
-        a2a = self.token_a2a_time(decision.routing_plan)
-        plan = np.asarray(decision.routing_plan, dtype=np.float64)
-        tokens_per_device = plan.sum(axis=(0, 1))
-        ideal = plan.sum() / self.topology.num_devices
+        attention = self._attention_forward
+        pairwise = np.asarray(decision.routing_plan).sum(axis=1)     # (N, N)
+        a2a = self._pairwise_a2a_time(pairwise)
+        tokens_per_device = pairwise.sum(axis=0)
+        ideal = tokens_per_device.sum() / self.topology.num_devices
         max_tokens = int(tokens_per_device.max())
         unit_time = (self.config.expert_flops_per_token
                      / self.topology.device_spec.effective_flops)
@@ -352,9 +363,9 @@ class IterationSimulator:
             attention_compute=attention,
             expert_compute=expert_max,
             token_a2a=a2a,
-            expert_prefetch=self.prefetch_time(),
-            attention_prefetch=self.attention_prefetch_time(),
-            grad_sync=self.grad_sync_time()
+            expert_prefetch=self._expert_prefetch,
+            attention_prefetch=self._attention_prefetch,
+            grad_sync=self._base_grad_sync
             + self.exposed_time_from_bytes(decision.grad_sync_extra_bytes),
         )
         scheduled = schedule_layer(timings, self.schedule)

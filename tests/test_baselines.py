@@ -14,6 +14,10 @@ from repro.baselines import (
 )
 from repro.baselines.static_ep import ep_group_route
 from repro.core.cost_model import MoECostModel
+from repro.core.layout import static_ep_layout
+from repro.core.layout_tuner import TunerConfig
+from repro.core.planner import LoadBalancingPlanner, PlannerConfig
+from repro.scalar_reference import scalar_ep_group_route, scalar_lite_route
 from repro.workloads.model_configs import get_model_config
 from repro.workloads.routing_traces import RoutingTraceConfig, SyntheticRoutingTraceGenerator
 
@@ -245,3 +249,88 @@ class TestLAERAndOracle:
         assert policy.iteration == 1
         policy.reset()
         assert policy.iteration == 0
+
+
+class TestFrameDispatch:
+    """Each policy routes a whole frame in one dispatch; every layer's plan
+    must equal the per-layer scalar oracle on the same routing."""
+
+    @pytest.mark.parametrize("devices, experts, capacity",
+                             [(8, 8, 2), (16, 8, 4), (4, 4, 4), (6, 6, 2)])
+    def test_ep_group_route_matches_scalar(self, devices, experts, capacity):
+        rng = np.random.default_rng(devices + capacity)
+        frame = rng.integers(0, 100, size=(3, devices, experts))
+        plans = ep_group_route(frame, capacity)
+        assert plans.shape == (3, devices, experts, devices)
+        for layer, routing in enumerate(frame):
+            expected = scalar_ep_group_route(routing, capacity)
+            assert np.array_equal(ep_group_route(routing, capacity), expected)
+            assert np.array_equal(plans[layer], expected)
+        # The static layout's hosting mask keeps exactly the owner's tokens
+        # local, which group routing already does.
+        hosted = static_ep_layout(devices, experts, capacity).assignment > 0
+        assert np.array_equal(ep_group_route(frame, capacity, local=hosted),
+                              plans)
+
+    def test_fastermoe_shadows_match_oracle(self, small_topology):
+        policy = FasterMoEPolicy(small_topology, 8, 2, EXPERT_BYTES,
+                                 max_shadow_experts=2, hot_threshold=1.2)
+        trace = make_trace(iterations=4, seed=7)
+        shadowed = 0
+        for it in range(4):
+            decisions = policy.decide_iteration(trace.iteration(it))
+            for layer, decision in enumerate(decisions):
+                routing = trace.layer(it, layer)
+                expected = scalar_ep_group_route(routing, 2)
+                for expert in decision.metadata["shadow_experts"]:
+                    shadowed += 1
+                    expected[:, expert, :] = 0
+                    for sender in range(8):
+                        expected[sender, expert, sender] = routing[sender, expert]
+                assert np.array_equal(decision.routing_plan, expected)
+        assert shadowed > 0
+
+    @pytest.mark.parametrize("make", [
+        lambda t: SmartMoEPolicy(t, 8, 2, EXPERT_BYTES, relocation_interval=2),
+        lambda t: ProphetPolicy(t, 8, 2, EXPERT_BYTES, adjustment_interval=2),
+        lambda t: FlexMoEPolicy(t, 8, 2, EXPERT_BYTES),
+        lambda t: OracleBalancedPolicy(
+            t, 8, 2, EXPERT_BYTES,
+            MoECostModel.from_model_config(get_model_config(
+                "mixtral-8x7b-e8k2"), t),
+            TunerConfig(num_candidates=3)),
+    ])
+    def test_lite_routed_policies_match_oracle(self, small_topology, make):
+        policy = make(small_topology)
+        trace = make_trace(iterations=5, seed=21)
+        for it in range(5):
+            decisions = policy.decide_iteration(trace.iteration(it))
+            for layer, decision in enumerate(decisions):
+                assert np.array_equal(
+                    decision.routing_plan,
+                    scalar_lite_route(trace.layer(it, layer), decision.layout,
+                                      small_topology))
+
+    def test_laer_frame_step_matches_per_layer_reference(self, small_topology):
+        """One dispatch over the frame, then observe + tune layer by layer:
+        the same layouts and plans (and tuner random stream) as planning
+        each layer in turn."""
+        cost_model = MoECostModel.from_model_config(
+            get_model_config("mixtral-8x7b-e8k2"), small_topology)
+        tuner = TunerConfig(num_candidates=4, perturbation_seed=3)
+        policy = LAERPolicy(small_topology, 8, 2, EXPERT_BYTES, cost_model,
+                            tuner)
+        reference = LoadBalancingPlanner(small_topology, cost_model, 8,
+                                         PlannerConfig(capacity=2, tuner=tuner))
+        trace = make_trace(iterations=5, seed=22)
+        for it in range(5):
+            decisions = policy.decide_iteration(trace.iteration(it))
+            for layer, decision in enumerate(decisions):
+                routing = trace.layer(it, layer)
+                layout = reference.current_layout(layer)
+                assert decision.layout == layout
+                assert np.array_equal(
+                    decision.routing_plan,
+                    scalar_lite_route(routing, layout, small_topology))
+                reference.observe(layer, routing)
+                reference.tune_layout(layer)

@@ -114,20 +114,24 @@ class TestPlanIteration:
 
     def test_dispatch_respects_given_layout(self, planner, small_topology):
         trace = make_trace()
-        layout = planner.current_layout(0)
-        plan = planner.dispatch(trace.layer(0, 0), layout)
-        assert np.array_equal(plan.sum(axis=2), trace.layer(0, 0))
+        frame = trace.iteration(0)
+        layouts = [planner.current_layout(layer) for layer in range(len(frame))]
+        plans = planner.dispatch(frame, layouts)
+        assert plans.shape == frame.shape + (frame.shape[1],)
+        assert np.array_equal(plans.sum(axis=3), frame)
 
 
 class TestStep:
     def test_step_dispatches_then_tunes(self, planner):
         trace = make_trace()
-        routing = trace.layer(0, 0)
-        fallback = planner.current_layout(0)
-        layout, plan = planner.step(0, routing)
-        assert layout == fallback
-        assert np.array_equal(plan, planner.dispatch(routing, fallback))
-        assert planner.current_layout(0) == planner.tuner.solve(routing).layout
+        frame = trace.iteration(0)
+        fallbacks = [planner.current_layout(layer) for layer in range(len(frame))]
+        layouts, plans = planner.step(frame)
+        assert layouts == fallbacks
+        assert np.array_equal(plans, planner.dispatch(frame, fallbacks))
+        for layer, routing in enumerate(frame):
+            assert planner.current_layout(layer) == \
+                planner.tuner.solve(routing).layout
 
     def test_laer_policy_matches_plan_iteration(self, small_topology,
                                                 small_cost_model):

@@ -85,3 +85,69 @@ class TestRelocation:
         replicas = even_replicas(4, 4, 2)
         layout = relocate_experts(replicas, loads, single_node_topology, capacity=2)
         layout.validate(require_full_capacity=True)
+
+
+class TestSelectDeviceOracle:
+    """The lean ``_select_device`` equals ``scalar_select_device``, and
+    ``relocate_experts`` calls it once per replica (the benchmarks patch
+    that name to swap the oracle in)."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_scalar_on_random_states(self, seed):
+        from repro.core.relocation import _select_device
+        from repro.scalar_reference import scalar_select_device
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            nodes = int(rng.integers(1, 5))
+            per_node = int(rng.integers(1, 5))
+            capacity = int(rng.integers(1, 4))
+            node_of = np.arange(nodes * per_node) // per_node
+            node_counts = rng.integers(0, 3, size=nodes)
+            slots = rng.integers(0, capacity + 1, size=node_of.size)
+            # Integer-valued loads make ties common.
+            loads = rng.integers(0, 4, size=node_of.size).astype(np.float64)
+            args = (node_counts, node_of, slots, loads, capacity)
+            if np.all(slots >= capacity):
+                for select in (_select_device, scalar_select_device):
+                    with pytest.raises(ValueError, match="spare capacity"):
+                        select(*args)
+            else:
+                assert _select_device(*args) == scalar_select_device(*args)
+
+    def test_all_full_raises(self):
+        from repro.core.relocation import _select_device
+        with pytest.raises(ValueError, match="spare capacity"):
+            _select_device(np.zeros(2, dtype=np.int64), np.array([0, 0, 1, 1]),
+                           np.full(4, 2), np.zeros(4), 2)
+
+    @pytest.mark.parametrize("nodes, per_node, capacity, seed", [
+        (1, 4, 2, 0), (4, 1, 3, 1), (2, 4, 2, 2), (5, 3, 4, 3), (3, 8, 1, 4)])
+    def test_relocation_matches_scalar_select(self, monkeypatch, nodes,
+                                              per_node, capacity, seed):
+        import repro.core.relocation as relocation
+        from repro.cluster.topology import ClusterTopology
+        from repro.scalar_reference import scalar_select_device
+        topology = ClusterTopology(num_nodes=nodes, devices_per_node=per_node)
+        n = topology.num_devices
+        rng = np.random.default_rng(seed)
+        for trial in range(20):
+            num_experts = int(rng.integers(1, n * capacity + 1))
+            total = int(rng.integers(num_experts, n * capacity + 1))
+            replicas = np.ones(num_experts, dtype=np.int64)
+            np.add.at(replicas, rng.integers(0, num_experts,
+                                             size=total - num_experts), 1)
+            loads = rng.integers(0, 50, size=num_experts).astype(np.float64)
+            if trial % 5 == 0:
+                loads[:] = 0.0
+            fast = relocate_experts(replicas, loads, topology, capacity)
+            calls = []
+
+            def counted(*args):
+                calls.append(args)
+                return scalar_select_device(*args)
+
+            monkeypatch.setattr(relocation, "_select_device", counted)
+            slow = relocate_experts(replicas, loads, topology, capacity)
+            monkeypatch.undo()
+            assert fast == slow
+            assert len(calls) == total

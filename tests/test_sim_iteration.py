@@ -4,9 +4,20 @@ import numpy as np
 import pytest
 
 from repro.baselines import LAERPolicy, StaticEPPolicy
-from repro.core.comm_schedule import CommScheduleConfig
+from repro.baselines.base import PolicyDecision
+from repro.core.comm_schedule import (
+    CommScheduleConfig,
+    LayerTimings,
+    schedule_layer,
+)
+from repro.core.layout import static_ep_layout
 from repro.core.cost_model import MoECostModel
-from repro.sim.iteration import IterationSimulator
+from repro.sim.iteration import (
+    BYTES_PER_ELEMENT,
+    IterationResult,
+    IterationSimulator,
+    LayerResult,
+)
 from repro.workloads.model_configs import get_model_config
 from repro.workloads.routing_traces import (
     RoutingTraceConfig,
@@ -306,3 +317,142 @@ class TestDropPolicies:
     def test_validation(self, small_topology):
         with pytest.raises(ValueError, match="drop_policy"):
             make_simulator(small_topology, drop_policy="discard")
+
+
+# ---------------------------------------------------------------------------
+# Per-layer reference: every term re-priced per layer, plans summed in float64
+# ---------------------------------------------------------------------------
+def reference_layer(sim, layer, decision):
+    """``simulate_layer`` as it was before the decision-independent terms
+    were priced once per simulator."""
+    plan = np.asarray(decision.routing_plan, dtype=np.float64)
+    traffic = (plan.sum(axis=1) * sim.config.hidden_size * BYTES_PER_ELEMENT
+               * sim.comm_bytes_scale)
+    np.fill_diagonal(traffic, 0.0)
+    a2a = sim.collectives.all_to_all(traffic)
+    attention = sim.attention_forward_time()
+    tokens_per_device = plan.sum(axis=(0, 1))
+    ideal = plan.sum() / sim.topology.num_devices
+    max_tokens = int(tokens_per_device.max())
+    unit_time = (sim.config.expert_flops_per_token
+                 / sim.topology.device_spec.effective_flops)
+    overflow_tokens, overflow_time, dropped_tokens = 0, 0.0, 0
+    computed = tokens_per_device
+    capacity = sim._device_token_capacity
+    if capacity is not None:
+        overflow_tokens = max(0, max_tokens - capacity)
+        if sim.drop_policy == "truncate":
+            computed = np.minimum(tokens_per_device, capacity)
+            dropped_tokens = int(
+                np.maximum(tokens_per_device - capacity, 0.0).sum())
+        elif sim.drop_policy == "recompute":
+            overflow_time = overflow_tokens * unit_time
+        else:
+            overflow_time = sim.overflow_penalty * overflow_tokens * unit_time
+    expert_max = float(computed.max()) * unit_time
+    expert_mean = float(computed.mean()) * unit_time
+    scheduled = schedule_layer(LayerTimings(
+        attention_compute=attention,
+        expert_compute=expert_max,
+        token_a2a=a2a,
+        expert_prefetch=sim.prefetch_time(),
+        attention_prefetch=sim.attention_prefetch_time(),
+        grad_sync=sim.grad_sync_time()
+        + sim.exposed_time_from_bytes(decision.grad_sync_extra_bytes),
+    ), sim.schedule)
+    recompute = expert_max + attention if sim.activation_checkpointing else 0.0
+    return LayerResult(
+        layer=layer,
+        forward_time=scheduled.forward_time,
+        backward_time=scheduled.backward_time + recompute,
+        attention_time=3.0 * attention,
+        expert_compute_time=3.0 * expert_mean,
+        all_to_all_time=scheduled.a2a_time + 3.0 * (expert_max - expert_mean),
+        exposed_comm_time=scheduled.exposed_prefetch
+        + scheduled.exposed_grad_sync,
+        relayout_time=sim.exposed_time_from_bytes(
+            decision.relayout_bytes_exposed),
+        max_tokens=max_tokens,
+        ideal_tokens=float(ideal),
+        overflow_tokens=overflow_tokens,
+        overflow_time=overflow_time,
+        dropped_tokens=dropped_tokens,
+    )
+
+
+def reference_iteration(sim, iteration, decisions):
+    layers = [reference_layer(sim, layer, decision)
+              for layer, decision in enumerate(decisions)]
+    scale = sim.num_layers / len(layers)
+    breakdown = {
+        "attention_and_other": scale * sum(r.attention_time for r in layers),
+        "expert_compute": scale * sum(r.expert_compute_time for r in layers),
+        "all_to_all": scale * sum(r.all_to_all_time for r in layers),
+        "exposed_comm": scale * sum(r.exposed_comm_time for r in layers),
+        "relayout": scale * sum(r.relayout_time for r in layers),
+    }
+    if sim._device_token_capacity is not None:
+        breakdown["overflow"] = scale * sum(r.overflow_time for r in layers)
+    total = scale * sum(r.total_time for r in layers)
+    breakdown["other"] = max(0.0, total - sum(breakdown.values()))
+    return IterationResult(iteration=iteration, total_time=total,
+                           breakdown=breakdown, layers=layers)
+
+
+class TestFramePricingMatchesPerLayerReference:
+    PARADIGMS = (("fsep", {}), ("fsdp_ep", {"ep_size": 4}),
+                 ("megatron", {"ep_size": 4, "tp_size": 2}))
+    DROPS = (("penalty", {}), ("penalty", {"overflow_penalty": 2.0}),
+             ("truncate", {}), ("recompute", {}))
+
+    @staticmethod
+    def random_decisions(topology, rng, layers=3, float_plans=False):
+        n = topology.num_devices
+        layout = static_ep_layout(n, 8, 2)
+        decisions = []
+        for _ in range(layers):
+            plan = rng.integers(0, 4000, size=(n, 8, n))
+            plan[rng.uniform(size=plan.shape) < 0.3] = 0
+            if float_plans:
+                plan = plan * rng.uniform(0.5, 1.5, size=plan.shape)
+            decisions.append(PolicyDecision(
+                layout=layout, routing_plan=plan,
+                relayout_bytes_exposed=float(rng.choice([0.0, 3e8])),
+                grad_sync_extra_bytes=float(rng.choice([0.0, 1e8]))))
+        return decisions
+
+    @pytest.mark.parametrize("paradigm, paradigm_kwargs", PARADIGMS)
+    @pytest.mark.parametrize("drop_policy, drop_kwargs", DROPS)
+    @pytest.mark.parametrize("checkpointing, schedule", [
+        (False, CommScheduleConfig.all_enabled()),
+        (True, CommScheduleConfig.none_enabled())])
+    def test_random_frames(self, small_topology, paradigm, paradigm_kwargs,
+                           drop_policy, drop_kwargs, checkpointing, schedule):
+        rng = np.random.default_rng(len(paradigm) + len(drop_policy))
+        sim = make_simulator(small_topology, paradigm, drop_policy=drop_policy,
+                             token_capacity=80_000,
+                             activation_checkpointing=checkpointing,
+                             schedule=schedule, comm_bytes_scale=1.25,
+                             **paradigm_kwargs, **drop_kwargs)
+        for iteration in range(3):
+            decisions = self.random_decisions(small_topology, rng)
+            result = sim.simulate_iteration(iteration, decisions)
+            assert result == reference_iteration(sim, iteration, decisions)
+        if drop_policy != "penalty" or drop_kwargs:
+            assert any(layer.overflow_tokens for layer in result.layers)
+
+    def test_float_plans_agree_to_rounding(self, small_topology):
+        """Integer plans (all a policy produces) sum exactly in any order;
+        non-integer plans are summed in another order and agree to
+        rounding."""
+        rng = np.random.default_rng(5)
+        sim = make_simulator(small_topology, drop_policy="truncate",
+                             token_capacity=80_000)
+        decisions = self.random_decisions(small_topology, rng,
+                                          float_plans=True)
+        result = sim.simulate_iteration(0, decisions)
+        expected = reference_iteration(sim, 0, decisions)
+        assert result.total_time == pytest.approx(expected.total_time,
+                                                  rel=1e-12)
+        assert result.breakdown == pytest.approx(expected.breakdown,
+                                                 rel=1e-12, abs=1e-12)

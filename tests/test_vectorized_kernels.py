@@ -401,3 +401,98 @@ class TestScenarioDeterminism:
         first = list(make_scenario(name, self.CTX).iter_iterations())
         second = list(make_scenario(name, other).iter_iterations())
         assert not all(np.array_equal(a, b) for a, b in zip(first, second))
+
+
+class TestPerRowLiteRouteBatch:
+    """``lite_route_batch`` on ``(M, N, E)`` routing: row ``m`` routed onto
+    ``layouts[m]`` must equal the scalar oracle on that (row, layout) pair."""
+
+    @staticmethod
+    def sparse_layouts(rng, topology, num_experts, count):
+        """Layouts hosting each expert on 1-3 random devices, so some nodes
+        lack an expert and their rows take the cross-node fallback."""
+        n = topology.num_devices
+        layouts = []
+        for _ in range(count):
+            assignment = np.zeros((n, num_experts), dtype=np.int64)
+            for expert in range(num_experts):
+                hosts = rng.choice(n, size=rng.integers(1, min(n, 3) + 1),
+                                   replace=False)
+                assignment[hosts, expert] = rng.integers(1, 3, size=len(hosts))
+            layouts.append(ExpertLayout(assignment,
+                                        capacity=int(assignment.sum(axis=1).max())))
+        return layouts
+
+    @pytest.mark.parametrize("num_nodes, devices_per_node, seed", [
+        (4, 4, 0), (4, 4, 1), (1, 8, 2), (8, 1, 3), (1, 1, 4), (2, 4, 5)])
+    def test_rows_match_scalar_oracle(self, num_nodes, devices_per_node, seed):
+        topology = ClusterTopology(num_nodes=num_nodes,
+                                   devices_per_node=devices_per_node)
+        n, num_experts, rows = topology.num_devices, 6, 5
+        rng = np.random.default_rng(seed)
+        layouts = self.sparse_layouts(rng, topology, num_experts, rows)
+        routing = rng.integers(0, 500, size=(rows, n, num_experts))
+        routing[rng.uniform(size=routing.shape) < 0.2] = 0
+        routing[1] = 0                                   # an all-zero row
+        plans = lite_route_batch(routing, layouts, topology)
+        assert plans.shape == (rows, n, num_experts, n)
+        for row, layout in enumerate(layouts):
+            assert np.array_equal(
+                plans[row], scalar_lite_route(routing[row], layout, topology)), \
+                f"row {row} diverged"
+        assert not plans[1].any()
+
+    def test_fallback_rows_leave_their_node(self):
+        topology = ClusterTopology(num_nodes=4, devices_per_node=4)
+        assignment = np.zeros((16, 2), dtype=np.int64)
+        assignment[[0, 5], 0] = 1           # expert 0 on nodes 0 and 1 only
+        assignment[:, 1] = 1
+        layouts = [ExpertLayout(assignment, capacity=2),
+                   ExpertLayout(np.ones((16, 2), dtype=np.int64), capacity=2)]
+        routing = np.full((2, 16, 2), 7, dtype=np.int64)
+        plans = lite_route_batch(routing, layouts, topology)
+        for row, layout in enumerate(layouts):
+            assert np.array_equal(
+                plans[row], scalar_lite_route(routing[row], layout, topology))
+        # Senders on nodes 2 and 3 split expert 0 over devices 0 and 5.
+        assert plans[0, 8:, 0][:, [0, 5]].sum() == 8 * 7
+        assert plans[1, 8:, 0, :8].sum() == 0
+
+    def test_shared_routing_is_the_repeated_rows(self):
+        topology, routing, layouts = TestNodeBlockedLiteRouteBatch.tuner_layouts(
+            64, 2, 7)
+        stacked = np.stack([routing] * len(layouts))
+        assert np.array_equal(lite_route_batch(routing, layouts, topology),
+                              lite_route_batch(stacked, layouts, topology))
+
+    def test_missing_replica_names_the_same_expert(self):
+        topology = ClusterTopology(num_nodes=2, devices_per_node=4)
+        assignment = np.ones((8, 3), dtype=np.int64)
+        assignment[:, 1] = 0
+        layouts = [ExpertLayout(np.ones((8, 3), dtype=np.int64), capacity=3),
+                   ExpertLayout(assignment, capacity=3)]
+        routing = np.ones((8, 3), dtype=np.int64)
+        for shaped in (routing, np.stack([routing] * 2)):
+            with pytest.raises(ValueError, match="expert 1 has no replica"):
+                lite_route_batch(shaped, layouts, topology)
+        # Per row: only the row routed onto the layout lacking expert 1
+        # matters, and only where it has demand for it.
+        rows = np.stack([routing, routing])
+        rows[1, :, 1] = 0
+        plans = lite_route_batch(rows, layouts, topology)
+        assert np.array_equal(plans.sum(axis=3), rows)
+        # The first node with demand names the expert, as for shared routing.
+        late = np.zeros((8, 4), dtype=np.int64)
+        late[0, 3] = late[5, 2] = 1
+        hosts_two = np.zeros((8, 4), dtype=np.int64)
+        hosts_two[:, :2] = 1
+        with pytest.raises(ValueError, match="expert 3 has no replica"):
+            lite_route_batch(late[None], [ExpertLayout(hosts_two, capacity=2)],
+                             topology)
+
+    def test_shape_mismatch_rejected(self):
+        topology = ClusterTopology(num_nodes=2, devices_per_node=4)
+        layouts = [static_ep_layout(8, 8, 2)] * 2
+        with pytest.raises(ValueError, match="routing must have shape"):
+            lite_route_batch(np.ones((3, 8, 8), dtype=np.int64), layouts,
+                             topology)
